@@ -82,10 +82,10 @@ main()
 
     double native_ms = timeMs([&]() {
         std::string log;
-        if (apps::pdflatexNative(vfs, "/home/main.tex", log) != 0)
+        if (apps::pdflatexNative(vfs, "/home/main.tex", log) != 0 ||
+            apps::bibtexNative(vfs, "/home/main", log) != 0 ||
+            apps::pdflatexNative(vfs, "/home/main.tex", log) != 0)
             std::abort();
-        apps::bibtexNative(vfs, "/home/main", log);
-        apps::pdflatexNative(vfs, "/home/main.tex", log);
     });
 
     // --- Browsix, synchronous syscalls (Chrome + SAB) ---

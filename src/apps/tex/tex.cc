@@ -571,11 +571,15 @@ class EmTexIo : public TexIo
     rt::EmEnv &env_;
 };
 
+/// Relative names (bibtex's `\bibdata{main}`, pdflatex's `\input`)
+/// resolve against the job's directory, as they would against the cwd
+/// of a Browsix process started there.
 class NativeTexIo : public TexIo
 {
   public:
-    NativeTexIo(bfs::Vfs &vfs, std::string *log_out)
-        : vfs_(vfs), logOut_(log_out)
+    NativeTexIo(bfs::Vfs &vfs, const std::string &jobpath,
+                std::string *log_out)
+        : vfs_(vfs), dir_(bfs::dirname(jobpath)), logOut_(log_out)
     {
     }
 
@@ -583,7 +587,7 @@ class NativeTexIo : public TexIo
     readFile(const std::string &path, std::string &out) override
     {
         bfs::Buffer data;
-        int rc = vfs_.readFileSync(path, data);
+        int rc = vfs_.readFileSync(resolve(path), data);
         if (rc != 0)
             return rc;
         out.assign(data.begin(), data.end());
@@ -593,14 +597,14 @@ class NativeTexIo : public TexIo
     int
     writeFile(const std::string &path, const std::string &data) override
     {
-        return vfs_.writeFileSync(path, data);
+        return vfs_.writeFileSync(resolve(path), data);
     }
 
     bool
     exists(const std::string &path) override
     {
         bfs::Stat st;
-        return vfs_.statSync(path, st) == 0;
+        return vfs_.statSync(resolve(path), st) == 0;
     }
 
     void
@@ -617,7 +621,14 @@ class NativeTexIo : public TexIo
     }
 
   private:
+    std::string
+    resolve(const std::string &path) const
+    {
+        return bfs::joinPath(dir_, path);
+    }
+
     bfs::Vfs &vfs_;
+    std::string dir_;
     std::string *logOut_;
 };
 
@@ -651,7 +662,7 @@ int
 pdflatexNative(bfs::Vfs &vfs, const std::string &jobpath,
                std::string &log_out)
 {
-    NativeTexIo io(vfs, &log_out);
+    NativeTexIo io(vfs, jobpath, &log_out);
     return runPdflatex(io, jobpath, kItersPerPage);
 }
 
@@ -659,7 +670,7 @@ int
 bibtexNative(bfs::Vfs &vfs, const std::string &jobpath,
              std::string &log_out)
 {
-    NativeTexIo io(vfs, &log_out);
+    NativeTexIo io(vfs, jobpath, &log_out);
     return runBibtex(io, jobpath);
 }
 

@@ -8,25 +8,17 @@
 namespace browsix {
 namespace jsvm {
 
-Browser::Browser(BrowserProfile profile) : costs_(std::move(profile)) {}
+Browser::Browser(BrowserProfile profile)
+    : costs_(std::move(profile)), pool_(std::make_shared<Scheduler>())
+{
+}
 
 Browser::~Browser()
 {
     terminateAll();
-}
-
-void
-Browser::setExecutor(std::shared_ptr<WorkerExecutor> exec)
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    executor_ = std::move(exec);
-}
-
-std::shared_ptr<WorkerExecutor>
-Browser::executor() const
-{
-    std::lock_guard<std::mutex> lk(mutex_);
-    return executor_;
+    // Drain the terminate steps and join the pool here, on the owning
+    // thread: a pool thread must never run ~Scheduler.
+    pool_->shutdown();
 }
 
 std::shared_ptr<Worker>
@@ -44,7 +36,8 @@ Browser::createWorker(const std::string &url, Worker::Main main)
         id = nextWorkerId_++;
     }
     // Not make_shared: the constructor is private.
-    std::shared_ptr<Worker> w(new Worker(*this, id, script, std::move(main)));
+    std::shared_ptr<Worker> w(
+        new Worker(*this, pool_, id, script, std::move(main)));
     {
         std::lock_guard<std::mutex> lk(mutex_);
         workers_.push_back(w);

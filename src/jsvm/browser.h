@@ -4,7 +4,8 @@
  *
  * The Browsix kernel runs "in the main browser context" — i.e. on this
  * object's main event loop, which the embedding application pumps (just as
- * a web page yields to the browser's event loop).
+ * a web page yields to the browser's event loop). Workers run on the
+ * browser's worker pool (jsvm::Scheduler).
  */
 #pragma once
 
@@ -16,6 +17,7 @@
 #include "jsvm/blob.h"
 #include "jsvm/cost_model.h"
 #include "jsvm/event_loop.h"
+#include "jsvm/scheduler.h"
 #include "jsvm/worker.h"
 
 namespace browsix {
@@ -31,14 +33,9 @@ class Browser
     const CostModel &costs() const { return costs_; }
     BlobRegistry &blobs() { return blobs_; }
 
-    /**
-     * Install the worker-pool executor. Workers created while one is set
-     * run in pooled mode (see worker.h); set before the first createWorker.
-     * Workers capture the shared_ptr at start, so the executor outlives
-     * every worker scheduled on it.
-     */
-    void setExecutor(std::shared_ptr<WorkerExecutor> exec);
-    std::shared_ptr<WorkerExecutor> executor() const;
+    /** The worker pool every worker runs on; its threads start with the
+     * first worker. */
+    Scheduler &scheduler() { return *pool_; }
 
     /**
      * Construct a Worker from a blob: URL (charging spawn + parse costs).
@@ -64,8 +61,9 @@ class Browser
     EventLoop mainLoop_;
     BlobRegistry blobs_;
 
-    mutable std::mutex mutex_;
-    std::shared_ptr<WorkerExecutor> executor_;
+    std::shared_ptr<Scheduler> pool_; // shared with every Worker
+
+    std::mutex mutex_;
     uint64_t nextWorkerId_ = 1;
     std::vector<std::weak_ptr<Worker>> workers_;
 };

@@ -243,10 +243,8 @@ void
 FiberCv::wait(std::unique_lock<std::mutex> &lk)
 {
     Fiber *f = Fiber::current();
-    if (!f) {
-        cv_.wait(lk);
-        return;
-    }
+    if (!f)
+        panic("FiberCv::wait called outside a guest fiber");
     fiberWaiters_.push_back(f);
     lk.unlock();
     Fiber::park();
@@ -268,7 +266,6 @@ FiberCv::notifyAll()
     for (Fiber *f : fiberWaiters_)
         f->wake();
     fiberWaiters_.clear();
-    cv_.notify_all();
 }
 
 } // namespace jsvm

@@ -1,12 +1,12 @@
 /**
  * @file
- * Resumable guest execution contexts for the pooled worker scheduler.
+ * Resumable guest execution contexts for the worker pool.
  *
- * A Fiber is a ucontext-backed stackful coroutine owned by a Worker. In
- * pooled mode every guest "thread" (an Emscripten program, a goroutine, a
- * bytecode VM host loop) runs as a fiber multiplexed onto a fixed pool of
- * host threads: a blocked guest parks its fiber and costs zero threads
- * until the wake event re-enqueues its worker.
+ * A Fiber is a ucontext-backed stackful coroutine owned by a Worker. Every
+ * guest "thread" (an Emscripten program, a goroutine, a bytecode VM host
+ * loop) runs as a fiber multiplexed onto a fixed pool of host threads: a
+ * blocked guest parks its fiber and costs zero threads until the wake
+ * event re-enqueues its worker.
  *
  * Parker protocol (the wake/park race is decided by a three-state cell):
  *
@@ -24,7 +24,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -127,17 +126,18 @@ class Fiber
 };
 
 /**
- * Condition-variable analogue usable from both host threads and fibers.
+ * Condition-variable analogue for guest fibers: a waiter parks its fiber
+ * instead of blocking a pool thread. wait() panics outside a fiber — a
+ * blocked host thread could be the one that must step the notifier.
  *
- * Waiting threads block on an internal std::condition_variable; waiting
- * fibers park. The waiter list is guarded by the caller's mutex — both
- * wait() and notifyAll() must be called with the same mutex held (wait
- * releases it while blocked, exactly like std::condition_variable).
+ * The waiter list is guarded by the caller's mutex — both wait() and
+ * notifyAll() must be called with the same mutex held (wait releases it
+ * while parked, exactly like a condition variable).
  */
 class FiberCv
 {
   public:
-    /** Block until notified (spurious returns allowed, as with any cv). */
+    /** Park until notified (spurious returns allowed, as with any cv). */
     void wait(std::unique_lock<std::mutex> &lk);
 
     template <class Pred>
@@ -147,11 +147,10 @@ class FiberCv
             wait(lk);
     }
 
-    /** Wake all waiting threads and fibers; call with the mutex held. */
+    /** Wake all waiting fibers; call with the mutex held. */
     void notifyAll();
 
   private:
-    std::condition_variable cv_;
     std::vector<Fiber *> fiberWaiters_; // guarded by the external mutex
 };
 

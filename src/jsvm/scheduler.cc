@@ -1,26 +1,43 @@
-#include "kernel/scheduler.h"
+#include "jsvm/scheduler.h"
 
 #include <algorithm>
 #include <chrono>
 
 #include "jsvm/util.h"
+#include "jsvm/worker.h"
 
 namespace browsix {
-namespace kernel {
+namespace jsvm {
 
-Scheduler::Scheduler(unsigned threads)
+namespace {
+
+unsigned
+poolSizeFor(unsigned threads)
 {
     if (threads == 0) {
         threads = std::thread::hardware_concurrency();
         if (threads < 2)
             threads = 2;
     }
-    poolSize_ = threads;
+    return threads;
 }
+
+} // namespace
+
+Scheduler::Scheduler(unsigned threads) : poolSize_(poolSizeFor(threads)) {}
 
 Scheduler::~Scheduler()
 {
     shutdown();
+}
+
+void
+Scheduler::resize(unsigned threads)
+{
+    std::lock_guard<std::mutex> lk(mutex_);
+    if (started_)
+        panic("Scheduler::resize: pool threads already started");
+    poolSize_ = poolSizeFor(threads);
 }
 
 void
@@ -33,7 +50,7 @@ Scheduler::startThreadsLocked()
 }
 
 void
-Scheduler::enqueue(std::shared_ptr<jsvm::Worker> w)
+Scheduler::enqueue(std::shared_ptr<Worker> w)
 {
     {
         std::unique_lock<std::mutex> lk(mutex_);
@@ -53,7 +70,7 @@ Scheduler::enqueue(std::shared_ptr<jsvm::Worker> w)
 }
 
 void
-Scheduler::scheduleTimer(std::shared_ptr<jsvm::Worker> w, int64_t due_us)
+Scheduler::scheduleTimer(std::shared_ptr<Worker> w, int64_t due_us)
 {
     {
         std::lock_guard<std::mutex> lk(mutex_);
@@ -67,13 +84,13 @@ Scheduler::scheduleTimer(std::shared_ptr<jsvm::Worker> w, int64_t due_us)
     // worker now if it is already due (signalWork routes back through
     // enqueue, which runs the step inline after shutdown); a future
     // deadline is dropped — terminate() drives the final unwind step.
-    if (due_us <= jsvm::nowUs())
+    if (due_us <= nowUs())
         w->signalWork();
 }
 
 int64_t
 Scheduler::promoteDueTimersLocked(
-    int64_t now, std::vector<std::shared_ptr<jsvm::Worker>> &due)
+    int64_t now, std::vector<std::shared_ptr<Worker>> &due)
 {
     int64_t next = -1;
     for (auto it = timers_.begin(); it != timers_.end();) {
@@ -93,10 +110,10 @@ Scheduler::promoteDueTimersLocked(
 void
 Scheduler::threadMain()
 {
-    std::vector<std::shared_ptr<jsvm::Worker>> due;
+    std::vector<std::shared_ptr<Worker>> due;
     std::unique_lock<std::mutex> lk(mutex_);
     for (;;) {
-        int64_t next_due = promoteDueTimersLocked(jsvm::nowUs(), due);
+        int64_t next_due = promoteDueTimersLocked(nowUs(), due);
         if (!due.empty()) {
             // Wake due workers through signalWork, never a raw queue push:
             // its Idle->Queued CAS dedupes against concurrent wakes, so a
@@ -118,7 +135,7 @@ Scheduler::threadMain()
             } else {
                 // Bounded wait: under a TestClock, virtual time advances
                 // without real time passing, so poll rather than oversleep.
-                int64_t delta = next_due - jsvm::nowUs();
+                int64_t delta = next_due - nowUs();
                 delta = std::min<int64_t>(std::max<int64_t>(delta, 0), 50000);
                 cv_.wait_for(lk, std::chrono::microseconds(delta + 1));
             }
@@ -146,7 +163,7 @@ Scheduler::shutdown()
     cv_.notify_all();
     for (auto &t : threads_)
         t.join();
-    std::deque<std::shared_ptr<jsvm::Worker>> drain;
+    std::deque<std::shared_ptr<Worker>> drain;
     {
         std::lock_guard<std::mutex> lk(mutex_);
         threads_.clear();
@@ -169,5 +186,5 @@ Scheduler::queueDepth() const
     return queue_.size();
 }
 
-} // namespace kernel
+} // namespace jsvm
 } // namespace browsix

@@ -1,13 +1,12 @@
 /**
  * @file
- * The kernel run queue: a fixed pool of host threads driving pooled
- * workers (jsvm::WorkerExecutor implementation).
+ * The worker pool: a fixed set of host threads driving every Worker.
  *
- * Decouples "process" from "thread" (ROADMAP item 1): every guest process
- * is a queue item, not a thread pair, so 10k+ live processes share
- * hardware_concurrency host threads. FIFO ordering gives starvation
- * freedom at worker granularity — a CPU-bound guest yields at the end of
- * its step and re-queues behind everyone else.
+ * Owned by the Browser, so every worker it creates is a run-queue item
+ * from birth. Decouples "process" from "thread": 10k+ live processes
+ * share hardware_concurrency host threads. FIFO ordering gives
+ * starvation freedom at worker granularity — a CPU-bound guest yields at
+ * the end of its step and re-queues behind everyone else.
  */
 #pragma once
 
@@ -20,29 +19,34 @@
 #include <thread>
 #include <vector>
 
-#include "jsvm/worker.h"
-
 namespace browsix {
-namespace kernel {
+namespace jsvm {
 
-class Scheduler final : public jsvm::WorkerExecutor
+class Worker;
+
+class Scheduler
 {
   public:
     /** threads == 0 sizes the pool to hardware_concurrency (min 2). */
     explicit Scheduler(unsigned threads = 0);
-    ~Scheduler() override;
+    ~Scheduler();
 
     Scheduler(const Scheduler &) = delete;
     Scheduler &operator=(const Scheduler &) = delete;
 
     /** Push a worker onto the run queue; pool threads start lazily on the
      * first enqueue. After shutdown(), runs the step inline instead (so
-     * late terminations still unwind their guests). */
-    void enqueue(std::shared_ptr<jsvm::Worker> w) override;
+     * late terminations still unwind their guests). Callable from any
+     * thread. */
+    void enqueue(std::shared_ptr<Worker> w);
 
-    /** Re-enqueue w once jsvm::nowUs() reaches due_us. */
-    void scheduleTimer(std::shared_ptr<jsvm::Worker> w,
-                       int64_t due_us) override;
+    /** Re-enqueue w once nowUs() reaches due_us (worker-loop timers).
+     * Callable from any thread. */
+    void scheduleTimer(std::shared_ptr<Worker> w, int64_t due_us);
+
+    /** Resize a pool whose threads have not started yet (0 as in the
+     * constructor); panics once they have. */
+    void resize(unsigned threads);
 
     /**
      * Stop the pool: drains the remaining queue (stepping each worker so
@@ -67,12 +71,12 @@ class Scheduler final : public jsvm::WorkerExecutor
     // Idle->Queued CAS dedupes — a raw queue_ push could double-queue a
     // worker and let two pool threads step it concurrently).
     int64_t promoteDueTimersLocked(int64_t now,
-                                   std::vector<std::shared_ptr<jsvm::Worker>> &due);
+                                   std::vector<std::shared_ptr<Worker>> &due);
 
     struct PendingTimer
     {
         int64_t due_us;
-        std::weak_ptr<jsvm::Worker> worker;
+        std::weak_ptr<Worker> worker;
     };
 
     unsigned poolSize_;
@@ -80,7 +84,7 @@ class Scheduler final : public jsvm::WorkerExecutor
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;
-    std::deque<std::shared_ptr<jsvm::Worker>> queue_;
+    std::deque<std::shared_ptr<Worker>> queue_;
     std::vector<PendingTimer> timers_;
     std::vector<std::thread> threads_;
     bool started_ = false;
@@ -88,5 +92,5 @@ class Scheduler final : public jsvm::WorkerExecutor
     bool shutdownDone_ = false;
 };
 
-} // namespace kernel
+} // namespace jsvm
 } // namespace browsix

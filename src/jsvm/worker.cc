@@ -1,6 +1,7 @@
 #include "jsvm/worker.h"
 
 #include "jsvm/browser.h"
+#include "jsvm/scheduler.h"
 #include "jsvm/util.h"
 
 namespace browsix {
@@ -55,12 +56,6 @@ WorkerScope::startGuest(std::function<void()> fn)
     worker_.startGuest(std::move(fn));
 }
 
-bool
-WorkerScope::pooled() const
-{
-    return worker_.pooled();
-}
-
 void
 WorkerScope::atExit(std::function<void()> fn)
 {
@@ -68,10 +63,11 @@ WorkerScope::atExit(std::function<void()> fn)
     worker_.atExit_.push_back(std::move(fn));
 }
 
-Worker::Worker(Browser &browser, uint64_t id,
+Worker::Worker(Browser &browser, std::shared_ptr<Scheduler> sched,
+               uint64_t id,
                std::shared_ptr<const std::vector<uint8_t>> script, Main main)
-    : browser_(browser), id_(id), script_(std::move(script)),
-      main_(std::move(main))
+    : browser_(browser), sched_(std::move(sched)), id_(id),
+      script_(std::move(script)), main_(std::move(main))
 {
 }
 
@@ -79,61 +75,19 @@ void
 Worker::start()
 {
     scope_ = std::make_unique<WorkerScope>(*this);
-    if (auto exec = browser_.executor()) {
-        pooled_ = true;
-        executor_ = std::move(exec);
-        std::weak_ptr<Worker> wself = weak_from_this();
-        loop_.setWakeHook([wself]() {
-            if (auto s = wself.lock())
-                s->signalWork();
-        });
-        // The bootstrap (script evaluation) runs in the first step; spawn
-        // is a queue push, not a thread launch.
-        signalWork();
-        return;
-    }
-    auto self = shared_from_this();
-    thread_ = std::thread([self]() {
-        // Script evaluation: parse cost was charged by the creator; the
-        // bootstrap installs onmessage and returns.
-        if (self->main_)
-            self->main_(*self->scope_, self->script_);
-        self->loop_.run();
-        // Loop stopped (terminate): unwind worker-local threads.
-        std::vector<std::function<void()>> fns;
-        {
-            std::lock_guard<std::mutex> lk(self->mutex_);
-            fns.swap(self->atExit_);
-        }
-        for (auto &fn : fns)
-            fn();
+    std::weak_ptr<Worker> wself = weak_from_this();
+    loop_.setWakeHook([wself]() {
+        if (auto s = wself.lock())
+            s->signalWork();
     });
+    // The bootstrap (script evaluation) runs in the first step; spawn is
+    // a queue push, not a thread launch.
+    signalWork();
 }
 
 void
 Worker::startGuest(std::function<void()> fn)
 {
-    if (!pooled_) {
-        auto th = std::make_shared<std::thread>();
-        std::lock_guard<std::mutex> lk(mutex_);
-        if (terminated_)
-            return; // dropped, like a queued-but-killed guest
-        // Register the join and launch in ONE critical section: teardown
-        // swaps atExit_ under mutex_, so it either sees nothing (guest
-        // dropped above) or a registered join whose handle was already
-        // assigned — never a half-constructed thread it fails to join.
-        atExit_.push_back([th]() {
-            if (th->joinable())
-                th->join();
-        });
-        *th = std::thread([fn = std::move(fn)]() {
-            try {
-                fn();
-            } catch (const WorkerTerminated &) {
-            }
-        });
-        return;
-    }
     std::weak_ptr<Worker> wself = weak_from_this();
     {
         std::lock_guard<std::mutex> lk(mutex_);
@@ -170,8 +124,6 @@ Worker::fiberWoken(uint64_t fiber_id)
 void
 Worker::signalWork()
 {
-    if (!pooled_)
-        return; // legacy: the dedicated thread's loop cv does the waking
     auto self = weak_from_this().lock();
     if (!self)
         return; // destructor context: ~Worker unwinds inline
@@ -183,7 +135,7 @@ Worker::signalWork()
             SchedState e = SchedState::Idle;
             if (schedState_.compare_exchange_strong(
                     e, SchedState::Queued, std::memory_order_seq_cst)) {
-                executor_->enqueue(std::move(self));
+                sched_->enqueue(std::move(self));
                 return;
             }
             continue;
@@ -322,25 +274,25 @@ Worker::finishStep()
         SchedState s = schedState_.load(std::memory_order_seq_cst);
         if (s == SchedState::Dirty) {
             schedState_.store(SchedState::Queued, std::memory_order_seq_cst);
-            executor_->enqueue(shared_from_this());
+            sched_->enqueue(shared_from_this());
             return;
         }
         if (s == SchedState::Running) {
             if (more) {
                 schedState_.store(SchedState::Queued,
                                   std::memory_order_seq_cst);
-                executor_->enqueue(shared_from_this());
+                sched_->enqueue(shared_from_this());
                 return;
             }
             SchedState e = SchedState::Running;
             if (schedState_.compare_exchange_strong(
                     e, SchedState::Idle, std::memory_order_seq_cst)) {
-                // Going idle with a pending loop timer: ask the executor
-                // to bring us back when it is due.
+                // Going idle with a pending loop timer: ask the pool to
+                // bring us back when it is due.
                 if (!terminated()) {
                     int64_t due = loop_.nextTimerDueUs();
                     if (due >= 0)
-                        executor_->scheduleTimer(shared_from_this(), due);
+                        sched_->scheduleTimer(shared_from_this(), due);
                 }
                 return;
             }
@@ -355,7 +307,7 @@ Worker::finishStep()
             SchedState e = SchedState::Idle;
             if (schedState_.compare_exchange_strong(
                     e, SchedState::Queued, std::memory_order_seq_cst)) {
-                executor_->enqueue(shared_from_this());
+                sched_->enqueue(shared_from_this());
                 return;
             }
             continue; // a racing signalWork queued us; done
@@ -369,8 +321,6 @@ Worker::finishStep()
 Worker::RunPhase
 Worker::runPhase() const
 {
-    if (!pooled_)
-        return RunPhase::Dedicated;
     switch (schedState_.load(std::memory_order_seq_cst)) {
     case SchedState::Running:
     case SchedState::Dirty:
@@ -386,7 +336,7 @@ Worker::runPhase() const
 Worker::~Worker()
 {
     terminate();
-    if (pooled_ && !tornDown_) {
+    if (!tornDown_) {
         // No other reference exists (we are the destructor), so no pool
         // thread can be stepping this worker: unwind inline.
         schedState_.store(SchedState::Running, std::memory_order_seq_cst);
@@ -433,18 +383,9 @@ Worker::terminate()
         workerHandler_ = nullptr;
     }
     token_.interrupt();
-    loop_.stop();
-    if (pooled_) {
-        // Non-blocking: enqueue a final step so a pool thread unwinds the
-        // fibers (throwing WorkerTerminated at their park sites).
-        signalWork();
-        return;
-    }
-    if (thread_.joinable()) {
-        if (thread_.get_id() == std::this_thread::get_id())
-            panic("Worker::terminate called from the worker's own thread");
-        thread_.join();
-    }
+    // Non-blocking: enqueue a final step so a pool thread unwinds the
+    // fibers (throwing WorkerTerminated at their park sites).
+    signalWork();
 }
 
 bool

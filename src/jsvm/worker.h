@@ -6,18 +6,11 @@
  * and communicate only via postMessage, whose payloads are structured-clone
  * copied. Browsix builds Unix processes on top of these (§3.3).
  *
- * Two execution modes:
- *
- *  - Legacy (no executor installed on the Browser): each worker owns a
- *    dedicated host thread running its event loop, and each guest
- *    execution context (startGuest) is another host thread. Simple, but
- *    two threads per process caps the system near 1k live guests.
- *
- *  - Pooled (Browser::setExecutor): the worker is a run-queue item. A
- *    fixed pool of host threads (kernel::Scheduler) pops workers and calls
- *    step(), which pumps the worker's event loop and resumes its guest
- *    fibers. Parked guests cost zero threads; their wake event re-enqueues
- *    the worker. This is what takes the process table to 10k+ live.
+ * A worker owns no host thread: it is a run-queue item on its Browser's
+ * pool (jsvm::Scheduler), whose threads pop workers and call step(). A
+ * step pumps the worker's event loop and resumes its guest fibers.
+ * Parked guests cost zero threads; their wake event re-enqueues the
+ * worker. This is what takes the process table to 10k+ live.
  */
 #pragma once
 
@@ -26,7 +19,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "jsvm/event_loop.h"
@@ -40,24 +32,7 @@ namespace jsvm {
 class Browser;
 class Worker;
 class CostModel;
-
-/**
- * Where pooled workers get their host-thread time. Implemented by the
- * kernel's Scheduler; declared here so jsvm stays independent of kernel.
- */
-class WorkerExecutor
-{
-  public:
-    virtual ~WorkerExecutor() = default;
-
-    /** Hand the worker a step of execution; must not run it inline unless
-     * the executor has shut down. Callable from any thread. */
-    virtual void enqueue(std::shared_ptr<Worker> w) = 0;
-
-    /** Re-enqueue the worker once nowUs() reaches due_us (worker-loop
-     * timers). Callable from any thread. */
-    virtual void scheduleTimer(std::shared_ptr<Worker> w, int64_t due_us) = 0;
-};
+class Scheduler;
 
 /**
  * The worker-global scope: what code running inside the worker sees.
@@ -85,18 +60,14 @@ class WorkerScope
 
     /**
      * Launch a guest execution context running fn: a fiber multiplexed on
-     * the worker pool in pooled mode, a dedicated host thread (joined at
-     * exit) in legacy mode. fn may block in Atomics::wait, blockingCall,
-     * and channel waits; on termination those sites throw WorkerTerminated
-     * to unwind it.
+     * the worker pool. fn may block in Atomics::wait, blockingCall and
+     * channel waits, each of which parks the fiber; on termination those
+     * sites throw WorkerTerminated to unwind it.
      */
     void startGuest(std::function<void()> fn);
 
-    /** True when this worker multiplexes guests on the shared pool. */
-    bool pooled() const;
-
-    /** Run fn after the loop stops (e.g. join app threads the language
-     * runtime started). */
+    /** Run fn once every guest has unwound after termination (e.g. drop
+     * state the guests shared). */
     void atExit(std::function<void()> fn);
 
   private:
@@ -109,7 +80,7 @@ class WorkerScope
 class Worker : public std::enable_shared_from_this<Worker>
 {
   public:
-    /// The "script": invoked once on the worker thread before the loop runs.
+    /// The "script": invoked once, in the worker's first step.
     using Main = std::function<void(WorkerScope &,
                                     std::shared_ptr<const std::vector<uint8_t>>)>;
 
@@ -123,20 +94,19 @@ class Worker : public std::enable_shared_from_this<Worker>
 
     /**
      * Immediately terminate the worker, like Worker.terminate(): wakes any
-     * Atomics.wait and stops the loop. Legacy mode joins the dedicated
-     * thread; pooled mode re-enqueues the worker so a pool thread unwinds
-     * its fibers (a queued-but-never-run guest is simply dropped).
-     * Idempotent.
+     * Atomics.wait, then re-enqueues the worker so a pool thread unwinds
+     * its fibers instead of pumping its loop again (a queued-but-never-run
+     * guest is simply dropped). Non-blocking and idempotent.
      */
     void terminate();
 
     bool terminated() const;
 
     /**
-     * Pooled mode: run one scheduling quantum on the calling thread —
-     * bootstrap on first call, pump the event loop, resume each runnable
-     * fiber once, then either re-enqueue (more work / signalled during the
-     * step) or go idle. Called only by the executor, never concurrently.
+     * Run one scheduling quantum on the calling thread — bootstrap on
+     * first call, pump the event loop, resume each runnable fiber once,
+     * then either re-enqueue (more work / signalled during the step) or go
+     * idle. Called only by the Scheduler, never concurrently.
      */
     void step();
 
@@ -148,14 +118,11 @@ class Worker : public std::enable_shared_from_this<Worker>
 
     /** Scheduling phase for introspection (kernel run states). */
     enum class RunPhase {
-        Dedicated, ///< legacy mode: guest owns host threads
-        Running,   ///< a pool thread is stepping it right now
-        Queued,    ///< in the run queue waiting for a pool thread
-        Parked     ///< idle: every guest is parked, no pending work
+        Running, ///< a pool thread is stepping it right now
+        Queued,  ///< in the run queue waiting for a pool thread
+        Parked   ///< idle: every guest is parked, no pending work
     };
     RunPhase runPhase() const;
-
-    bool pooled() const { return pooled_; }
 
     InterruptToken &token() { return token_; }
     uint64_t id() const { return id_; }
@@ -164,7 +131,7 @@ class Worker : public std::enable_shared_from_this<Worker>
     friend class Browser;
     friend class WorkerScope;
 
-    Worker(Browser &browser, uint64_t id,
+    Worker(Browser &browser, std::shared_ptr<Scheduler> sched, uint64_t id,
            std::shared_ptr<const std::vector<uint8_t>> script, Main main);
     void start();
     void startGuest(std::function<void()> fn);
@@ -174,7 +141,7 @@ class Worker : public std::enable_shared_from_this<Worker>
     void finishStep();
     bool hasPendingWork();
 
-    /// One guest execution context in pooled mode.
+    /// One guest execution context.
     struct GuestFiber
     {
         uint64_t id = 0;
@@ -182,26 +149,26 @@ class Worker : public std::enable_shared_from_this<Worker>
         std::unique_ptr<Fiber> fiber;
     };
 
-    /// Pooled scheduling state; transitions are lock-free CAS.
+    /// Scheduling state; transitions are lock-free CAS.
     enum class SchedState : int {
         Idle,    ///< not queued, not running
-        Queued,  ///< in the executor's run queue
+        Queued,  ///< in the Scheduler's run queue
         Running, ///< step() in flight on a pool thread
         Dirty    ///< step() in flight AND new work arrived: re-queue after
     };
 
     Browser &browser_;
+    /// Held, not borrowed: a terminate() landing after the Browser
+    /// retired its pool still reaches it, and the step runs inline.
+    std::shared_ptr<Scheduler> sched_;
     uint64_t id_;
     std::shared_ptr<const std::vector<uint8_t>> script_;
     Main main_;
 
     EventLoop loop_;
     InterruptToken token_;
-    std::thread thread_;                 // legacy mode only
     std::unique_ptr<WorkerScope> scope_; // worker-owned: outlives all guests
 
-    bool pooled_ = false;
-    std::shared_ptr<WorkerExecutor> executor_;
     std::atomic<SchedState> schedState_{SchedState::Idle};
     bool booted_ = false;   // step-thread only
     bool tornDown_ = false; // step-thread only

@@ -15,13 +15,9 @@ namespace kernel {
 Kernel::Kernel(jsvm::Browser &browser, bfs::VfsPtr vfs,
                net::NetBackendPtr net)
     : browser_(browser), vfs_(std::move(vfs)),
-      sched_(std::make_shared<Scheduler>()),
       net_(net ? std::move(net)
                : std::make_shared<net::LoopbackBackend>())
 {
-    // Every worker this browser creates from now on is a run-queue item
-    // on the shared pool — processes stop costing host threads.
-    browser_.setExecutor(sched_);
 }
 
 Kernel::~Kernel()
@@ -30,10 +26,10 @@ Kernel::~Kernel()
         if (t.worker)
             t.worker->terminate();
     });
-    // Drain the pool before the Tasks (and their workers) are destroyed:
-    // shutdown steps every queued worker so terminated guests unwind.
-    sched_->shutdown();
-    browser_.setExecutor(nullptr);
+    // Retire the browser's pool before the Tasks (and their workers) are
+    // destroyed: shutdown steps every queued worker so terminated guests
+    // unwind. A Browser hosts a single Kernel.
+    scheduler().shutdown();
 }
 
 void
@@ -41,9 +37,7 @@ Kernel::setPoolThreads(unsigned threads)
 {
     if (taskCount() != 0)
         jsvm::panic("Kernel.setPoolThreads: processes already running");
-    sched_->shutdown();
-    sched_ = std::make_shared<Scheduler>(threads);
-    browser_.setExecutor(sched_);
+    scheduler().resize(threads);
 }
 
 RunState
@@ -58,7 +52,6 @@ Kernel::runState(int pid)
       case jsvm::Worker::RunPhase::Parked:
         return RunState::Parked;
       case jsvm::Worker::RunPhase::Running:
-      case jsvm::Worker::RunPhase::Dedicated:
         break;
     }
     return RunState::Running;

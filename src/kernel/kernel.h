@@ -22,7 +22,6 @@
 #include "bfs/vfs.h"
 #include "jsvm/browser.h"
 #include "kernel/latency_histogram.h"
-#include "kernel/scheduler.h"
 #include "kernel/socket.h"
 #include "kernel/task.h"
 #include "kernel/task_table.h"
@@ -204,13 +203,13 @@ class Kernel
     /** The run state of pid (ESRCH-gone pids read as Zombie). */
     RunState runState(int pid);
 
-    /** The worker-pool run queue driving every process. */
-    Scheduler &scheduler() { return *sched_; }
+    /** The worker-pool run queue driving every process: the Browser's. */
+    jsvm::Scheduler &scheduler() { return browser_.scheduler(); }
 
     /**
-     * Test hook: replace the pool with one of `threads` threads. Must be
-     * called before the first spawn (pool threads start lazily on the
-     * first enqueue, so the swap is cheap until then).
+     * Test hook: resize the pool to `threads` threads. Must be called
+     * before the first spawn (pool threads start lazily on the first
+     * enqueue, so the resize is free until then).
      */
     void setPoolThreads(unsigned threads);
 
@@ -338,9 +337,6 @@ class Kernel
     bfs::VfsPtr vfs_;
     Bootstrapper bootstrapper_;
     KernelStats stats_;
-    /// The worker pool every process runs on (installed as the Browser's
-    /// executor in the ctor, so workers are pooled from birth).
-    std::shared_ptr<Scheduler> sched_;
     int nprocLimit_ = 4096;
     /// Liveness tag for loop tasks the kernel posts to itself (scheduled
     /// ring drains): a task whose weak_ptr expired outlived the kernel

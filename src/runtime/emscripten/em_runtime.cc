@@ -943,9 +943,8 @@ EmscriptenRuntime::boot(jsvm::WorkerScope &scope,
 {
     client->onInit([&scope, client, program = std::move(program), mode,
                     emterpreter](const InitInfo &) {
-        // The program runs as a guest context owned by the worker (a
-        // pooled fiber, or a legacy thread joined at exit) — it can never
-        // outlive the scope it captures.
+        // The program runs as a guest fiber owned by the worker — it can
+        // never outlive the scope it captures.
         scope.startGuest([&scope, client, program, mode, emterpreter]() {
             try {
                 auto env = std::make_shared<EmEnv>(client, mode, emterpreter,

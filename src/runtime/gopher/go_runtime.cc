@@ -199,8 +199,12 @@ GoRuntime::boot(jsvm::WorkerScope &scope,
     client->onInit([&scope, client,
                     program = std::move(program)](const InitInfo &) {
         auto env = std::make_shared<GoEnv>(client, scope);
-        // The main goroutine is a guest context (fiber or thread; see
-        // WorkerScope::startGuest) that owns process exit.
+        // Every goroutine borrows env, and the main one may finish (or
+        // unwind on terminate) before the rest: anchor env to the worker
+        // until all of them have unwound.
+        scope.atExit([env]() {});
+        // The main goroutine is a guest fiber (WorkerScope::startGuest)
+        // that owns process exit.
         scope.startGuest([client, env, program]() {
             int code = 0;
             try {

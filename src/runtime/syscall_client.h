@@ -9,7 +9,7 @@
  * Four façades:
  *  - SyscallClient: raw async (CPS) calls + init/signal dispatch; must be
  *    used from the worker's loop thread.
- *  - blockingCall(): lets a runtime's "app thread" (the Emterpreter or a
+ *  - blockingCall(): lets a runtime's guest fiber (the Emterpreter or a
  *    goroutine) issue an async call and park until the reply.
  *  - SyncSyscalls: the synchronous convention — a shared heap registered
  *    with the kernel ("personality"), calls that block in Atomics.wait.
@@ -24,7 +24,6 @@
  */
 #pragma once
 
-#include <condition_variable>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -101,10 +100,11 @@ struct CallResult
 };
 
 /**
- * Issue an async syscall from an app thread and park until the reply;
- * throws jsvm::WorkerTerminated if the worker is killed meanwhile. This
- * is the Emterpreter's save/restore-the-stack trick and GopherJS's
- * suspended goroutine, in substrate form.
+ * Issue an async syscall from a guest fiber and park it until the reply;
+ * throws jsvm::WorkerTerminated if the worker is killed meanwhile, and
+ * panics outside a guest fiber. This is the Emterpreter's
+ * save/restore-the-stack trick and GopherJS's suspended goroutine, in
+ * substrate form.
  */
 CallResult blockingCall(SyscallClient &client, const std::string &name,
                         jsvm::Value::Array args);
@@ -126,8 +126,8 @@ class SyncSyscalls
 
     /**
      * Allocate the heap and register the personality with the kernel
-     * (via an async call, per the paper). Blocking; call from the app
-     * thread after init.
+     * (via an async call, per the paper). Blocking; call from the guest
+     * fiber after init.
      */
     SyncSyscalls(SyscallClient &client, size_t heap_bytes);
 
@@ -151,7 +151,7 @@ class SyncSyscalls
     jsvm::SharedArrayBuffer &heap() { return *heap_; }
     SyscallClient &client() { return client_; }
 
-    /** Handler invoked (on the app thread) when a signal is delivered
+    /** Handler invoked (on the guest fiber) when a signal is delivered
      * while blocked in Atomics.wait. */
     std::function<void(int sig)> signalHandler;
 
@@ -186,7 +186,7 @@ class SyncSyscalls
  * its in-flight slot (and CQ reservation) until it does.
  *
  * Single-threaded like the rest of the runtime facades: all methods must
- * run on the process's app thread.
+ * run on the process's guest fiber.
  */
 class RingSyscalls
 {
@@ -194,7 +194,7 @@ class RingSyscalls
     static constexpr uint32_t kDefaultEntries = 64;
 
     /** Reserve the ring inside sync's heap and register it with the
-     * kernel (blocking; call from the app thread after init). */
+     * kernel (blocking; call from the guest fiber after init). */
     RingSyscalls(SyncSyscalls &sync, uint32_t entries = kDefaultEntries);
 
     struct Completion

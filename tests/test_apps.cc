@@ -14,6 +14,9 @@
 #include "apps/meme/server.h"
 #include "apps/registry.h"
 #include "apps/tex/tex.h"
+#include "bfs/http_backend.h"
+#include "bfs/inmem.h"
+#include "bfs/overlay.h"
 #include "core/browsix.h"
 #include "jsvm/util.h"
 
@@ -226,6 +229,31 @@ TEST(Tex, BibtexConsumesAuxProducesBbl)
     std::string s(bbl.begin(), bbl.end());
     EXPECT_NE(s.find("\\bibitem{browsix}"), std::string::npos);
     EXPECT_NE(s.find("Powers, Bobby"), std::string::npos);
+}
+
+TEST(Tex, NativeBibtexResolvesBibdataAgainstTheJobDirectory)
+{
+    // The native baseline (direct VFS, no process cwd): `\bibdata{main}`
+    // must name /home/main.bib, the file next to the job.
+    auto store = std::make_shared<bfs::HttpStore>();
+    populateTexliveStore(*store);
+    auto http = std::make_shared<bfs::HttpBackend>(
+        store, std::make_shared<bfs::BrowserHttpCache>(), nullptr,
+        bfs::NetworkParams{});
+    auto root = std::make_shared<bfs::InMemBackend>();
+    bfs::Vfs vfs;
+    vfs.mount("/", root);
+    vfs.mount("/texlive", std::make_shared<bfs::OverlayBackend>(
+                              std::make_shared<bfs::InMemBackend>(), http));
+    stageLatexProject(*root, "/home", 1);
+
+    std::string log;
+    ASSERT_EQ(pdflatexNative(vfs, "/home/main.tex", log), 0) << log;
+    EXPECT_EQ(bibtexNative(vfs, "/home/main", log), 0) << log;
+    bfs::Buffer bbl;
+    ASSERT_EQ(vfs.readFileSync("/home/main.bbl", bbl), 0);
+    std::string s(bbl.begin(), bbl.end());
+    EXPECT_NE(s.find("\\bibitem{browsix}"), std::string::npos);
 }
 
 TEST(Tex, BibtexWithoutAuxFails)

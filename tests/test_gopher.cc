@@ -6,11 +6,9 @@
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
-
 #include "apps/registry.h"
 #include "core/browsix.h"
+#include "jsvm/fiber.h"
 #include "runtime/gopher/go_runtime.h"
 
 using namespace browsix;
@@ -32,18 +30,22 @@ TEST(Chan, FifoOrder)
     EXPECT_EQ(v, 3);
 }
 
+// The blocking cases run the blocked side as a guest fiber stepped by
+// hand on the test thread: a Chan wait parks its fiber, exactly as a
+// goroutine does on a worker. resume() returns false while it is parked.
+
 TEST(Chan, RecvBlocksUntilSend)
 {
     jsvm::InterruptToken token;
     Chan<std::string> ch(&token);
     std::string got;
-    std::thread consumer([&]() {
-        ch.recv(got);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    jsvm::Fiber consumer([&]() { ch.recv(got); }, nullptr);
+    EXPECT_FALSE(consumer.resume()) << "recv on an empty channel must park";
+    EXPECT_TRUE(consumer.wantsPark());
+    EXPECT_TRUE(consumer.commitPark());
     EXPECT_TRUE(got.empty());
     ch.send("late");
-    consumer.join();
+    EXPECT_TRUE(consumer.resume());
     EXPECT_EQ(got, "late");
 }
 
@@ -52,17 +54,23 @@ TEST(Chan, BoundedSendBlocksUntilDrained)
     jsvm::InterruptToken token;
     Chan<int> ch(&token, 1);
     ch.send(1);
-    std::atomic<bool> second_sent{false};
-    std::thread producer([&]() {
-        ch.send(2); // capacity full: must wait
-        second_sent = true;
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    bool second_sent = false;
+    jsvm::Fiber producer(
+        [&]() {
+            ch.send(2); // capacity full: must wait
+            second_sent = true;
+        },
+        nullptr);
+    EXPECT_FALSE(producer.resume()) << "send into a full channel must park";
+    EXPECT_TRUE(producer.commitPark());
     EXPECT_FALSE(second_sent);
-    int v;
-    ch.recv(v);
-    producer.join();
+    int v = 0;
+    EXPECT_TRUE(ch.recv(v));
+    EXPECT_EQ(v, 1);
+    EXPECT_TRUE(producer.resume());
     EXPECT_TRUE(second_sent);
+    EXPECT_TRUE(ch.recv(v));
+    EXPECT_EQ(v, 2);
 }
 
 TEST(Chan, CloseDrainsThenReportsClosed)
@@ -81,16 +89,19 @@ TEST(Chan, CloseWakesBlockedReceiver)
 {
     jsvm::InterruptToken token;
     Chan<int> ch(&token);
-    std::atomic<bool> returned{false};
+    bool returned = false;
     bool ok = true;
-    std::thread consumer([&]() {
-        int v;
-        ok = ch.recv(v);
-        returned = true;
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    jsvm::Fiber consumer(
+        [&]() {
+            int v;
+            ok = ch.recv(v);
+            returned = true;
+        },
+        nullptr);
+    EXPECT_FALSE(consumer.resume());
+    EXPECT_TRUE(consumer.commitPark());
     ch.close();
-    consumer.join();
+    EXPECT_TRUE(consumer.resume());
     EXPECT_TRUE(returned);
     EXPECT_FALSE(ok);
 }
@@ -99,18 +110,21 @@ TEST(Chan, InterruptUnblocksWithWorkerTerminated)
 {
     jsvm::InterruptToken token;
     Chan<int> ch(&token);
-    std::atomic<bool> threw{false};
-    std::thread consumer([&]() {
-        try {
-            int v;
-            ch.recv(v);
-        } catch (jsvm::WorkerTerminated &) {
-            threw = true;
-        }
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    bool threw = false;
+    jsvm::Fiber consumer(
+        [&]() {
+            try {
+                int v;
+                ch.recv(v);
+            } catch (jsvm::WorkerTerminated &) {
+                threw = true;
+            }
+        },
+        nullptr);
+    EXPECT_FALSE(consumer.resume());
+    EXPECT_TRUE(consumer.commitPark());
     token.interrupt();
-    consumer.join();
+    EXPECT_TRUE(consumer.resume());
     EXPECT_TRUE(threw);
 }
 

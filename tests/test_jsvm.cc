@@ -133,18 +133,15 @@ TEST(EventLoop, ClearTimeoutCancels)
     EXPECT_TRUE(loop.idle());
 }
 
-TEST(EventLoop, CrossThreadPostWakesRun)
+TEST(EventLoop, CrossThreadPostWakesBlockedPump)
 {
     EventLoop loop;
     std::atomic<bool> ran{false};
     std::thread t([&]() {
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        loop.post([&]() {
-            ran = true;
-            loop.stop();
-        });
+        loop.post([&]() { ran = true; });
     });
-    loop.run();
+    EXPECT_TRUE(loop.pumpOne(true));
     t.join();
     EXPECT_TRUE(ran);
 }
@@ -428,22 +425,39 @@ TEST(Worker, MessagesAreCopiedNotShared)
 
 TEST(Worker, TerminateInterruptsAtomicsWait)
 {
+    // Declared before the Browser: ~Browser drains any teardown step
+    // still queued, and that step writes these.
+    std::atomic<bool> waiting{false};
+    std::atomic<bool> interrupted{false};
+    std::atomic<bool> unwound{false};
     Browser browser;
     std::string url = browser.blobs().createObjectUrl({'x'});
     auto sab = std::make_shared<SharedArrayBuffer>(16);
-    std::atomic<bool> unwound{false};
     auto w = browser.createWorker(url, [&](WorkerScope &scope, auto) {
-        auto th = std::make_shared<std::thread>([&scope, sab, &unwound]() {
-            WaitResult r =
-                Atomics::wait(*sab, 0, 0, -1, &scope.token());
-            if (r == WaitResult::Interrupted)
-                unwound = true;
+        scope.startGuest([&scope, sab, &waiting, &interrupted]() {
+            waiting = true;
+            if (Atomics::wait(*sab, 0, 0, -1, &scope.token()) ==
+                WaitResult::Interrupted)
+                interrupted = true;
         });
-        scope.atExit([th]() { th->join(); });
+        // Runs in the teardown step, once every guest has unwound.
+        scope.atExit([&unwound]() { unwound = true; });
     });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    auto parked = [&]() {
+        return waiting && w->runPhase() == Worker::RunPhase::Parked;
+    };
+    while (!parked() && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    ASSERT_TRUE(parked()) << "guest never parked in Atomics.wait";
+    // terminate() is non-blocking: the pool runs the teardown step.
     w->terminate();
-    EXPECT_TRUE(unwound);
+    while (!unwound && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    EXPECT_TRUE(unwound) << "teardown step never ran";
+    EXPECT_TRUE(interrupted)
+        << "terminate must interrupt a guest parked in Atomics.wait";
 }
 
 TEST(Worker, SharedMemoryIsVisibleAcrossContexts)

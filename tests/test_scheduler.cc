@@ -1,7 +1,7 @@
 /**
  * @file
  * Worker-pool scheduler tests (ROADMAP item 1: decouple "process" from
- * "thread"): pooled workers on the kernel run queue, run-state
+ * "thread"): workers on the browser's run queue, run-state
  * introspection, FIFO fairness under a single pool thread, SIGKILL of a
  * task that never reached a pool thread, the per-tenant NPROC quota
  * (the fork-bomb fence), and Kernel::system surfacing spawn failures
@@ -37,8 +37,8 @@ addProgram(const std::string &name, rt::EmProgramFn fn,
 
 TEST(Scheduler, ProcessesAreQueueItemsNotThreads)
 {
-    // The tentpole contract: every process worker is pooled (a run-queue
-    // item stepped by the shared pool), not a dedicated thread pair.
+    // Every process worker is a run-queue item stepped by the shared
+    // pool, not a dedicated thread pair.
     testutil::addParkProgram("sched-park");
     Browsix bx;
     stage(bx, "sched-park");
@@ -52,8 +52,6 @@ TEST(Scheduler, ProcessesAreQueueItemsNotThreads)
     kernel::Task *t = bx.kernel().task(pid);
     ASSERT_NE(t, nullptr);
     ASSERT_NE(t->worker, nullptr);
-    EXPECT_TRUE(t->worker->pooled())
-        << "kernel-spawned workers must ride the pool";
 
     // Once it blocks on its empty pipe the process costs zero threads:
     // the worker winds down to Parked (idle, not queued, not running).
@@ -225,10 +223,10 @@ TEST(Scheduler, TimerParkedWorkerRewakesThroughTheDedupedWakePath)
     // double-queue the worker and two pool threads would resume the same
     // guest fiber at once. Race hundreds of 1ms promotions against a
     // notify/signalWork hammer so TSan (and step()'s ownership CAS)
-    // catch any return of the raw push.
+    // catch any return of the raw push. The race needs at least two pool
+    // threads, which the Browser's default pool always has.
     jsvm::Browser browser;
-    auto sched = std::make_shared<kernel::Scheduler>(2);
-    browser.setExecutor(sched);
+    ASSERT_GE(browser.scheduler().poolSize(), 2u);
     std::string url = browser.blobs().createObjectUrl({'x'});
     auto sab = std::make_shared<jsvm::SharedArrayBuffer>(16);
     std::atomic<int> rounds{0};
@@ -257,7 +255,6 @@ TEST(Scheduler, TimerParkedWorkerRewakesThroughTheDedupedWakePath)
             }
         });
     });
-    ASSERT_TRUE(w->pooled());
     const int kRounds = 300;
     auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -270,11 +267,6 @@ TEST(Scheduler, TimerParkedWorkerRewakesThroughTheDedupedWakePath)
     EXPECT_GE(rounds.load(), kRounds) << "parked guest stopped being rewoken";
     EXPECT_GE(timer_fired.load(), 20) << "scheduler timer rail never fired";
     w->terminate();
-    // Retire the pool from this thread (the Kernel does the same in its
-    // destructor): without it, a pool thread can drop the last Worker ref
-    // — and with it the last Scheduler ref — and ~Scheduler would then
-    // join the pool from inside one of its own threads.
-    sched->shutdown();
 }
 
 TEST(Scheduler, KernelSystemSurfacesSpawnFailureInsteadOfPanicking)
