@@ -556,14 +556,13 @@ class EmTexIo : public TexIo
             return env_.runInterpreted(typesetImage(), "typeset",
                                        {seed, iters});
         }
-        // asm.js: modelled by a calibrated surcharge on the native run
-        // (2016-era asm.js integer loops ran ~3x native).
+        // asm.js: modelled by the profile's calibrated surcharge on the
+        // native run (none under the fast profile).
         int64_t t0 = jsvm::nowUs();
         int64_t r = typesetNative(seed, iters);
         int64_t elapsed = jsvm::nowUs() - t0;
-        double asmjs_factor = 3.0;
         env_.costs().charge(static_cast<double>(elapsed) *
-                            (asmjs_factor - 1.0));
+                            (env_.costs().profile().asmjsFactor - 1.0));
         return r;
     }
 

@@ -84,7 +84,12 @@ class Browsix
     bfs::HttpBackend *texliveHttp() { return texHttp_.get(); }
     bfs::OverlayBackend *texliveOverlay() { return texOverlay_.get(); }
 
-    /** Pump the main loop until pred() (the embedder's event loop). */
+    /**
+     * Pump the main loop until pred() (the embedder's event loop). A
+     * task posted to the main loop wakes it at once; any other state
+     * pred() reads is re-checked at least every 200 µs (see
+     * jsvm::Browser::runUntil).
+     */
     bool runUntil(const std::function<bool()> &pred,
                   int64_t timeout_ms = 30000);
 

@@ -1,12 +1,18 @@
 #include "jsvm/browser.h"
 
+#include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "jsvm/util.h"
 
 namespace browsix {
 namespace jsvm {
+
+namespace {
+// How often runUntil re-checks its predicate while the main loop is
+// idle: the bound on noticing state that no main-loop task announces.
+constexpr std::chrono::microseconds kRecheck{200};
+} // namespace
 
 Browser::Browser(BrowserProfile profile)
     : costs_(std::move(profile)), pool_(std::make_shared<Scheduler>())
@@ -54,10 +60,13 @@ Browser::runUntil(const std::function<bool()> &pred, int64_t timeout_ms)
         mainLoop_.pump();
         if (pred())
             return true;
-        if (nowUs() >= deadline)
+        int64_t left_us = deadline - nowUs();
+        if (left_us <= 0)
             return false;
-        if (!mainLoop_.pumpOne(false))
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        // A real-time bound, so a frozen TestClock cannot stretch it.
+        mainLoop_.pumpOne(EventLoop::Deadline::clock::now() +
+                          std::min(kRecheck,
+                                   std::chrono::microseconds(left_us)));
     }
 }
 

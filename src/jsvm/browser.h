@@ -49,6 +49,12 @@ class Browser
     /**
      * Pump the main loop on the calling thread until pred() holds.
      *
+     * Wake-up contract: a task posted to the main loop (a worker
+     * message, a ring doorbell, a host-socket delivery, a due timer)
+     * wakes this call at once, and pred() is re-checked after it runs.
+     * State that no main-loop task announces (an atomic a pool thread
+     * sets) is re-checked at least every 200 µs of real time.
+     *
      * @return true if pred became true before timeout_ms elapsed.
      */
     bool runUntil(const std::function<bool()> &pred, int64_t timeout_ms = 30000);

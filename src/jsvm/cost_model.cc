@@ -20,6 +20,7 @@ BrowserProfile::chrome2016()
         /*parseUsPerKb=*/3.0,
         /*jsComputeFactor=*/8,
         /*emterpreterFactor=*/4,
+        /*asmjsFactor=*/3,
     };
     return p;
 }
@@ -35,6 +36,7 @@ BrowserProfile::firefox2016()
         /*parseUsPerKb=*/2.5,
         /*jsComputeFactor=*/9,
         /*emterpreterFactor=*/4.5,
+        /*asmjsFactor=*/3,
     };
     return p;
 }

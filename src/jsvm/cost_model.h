@@ -34,10 +34,15 @@ struct BrowserProfile
     double jsComputeFactor = 1;
     /// Emterpreter-vs-asm.js factor for interpreted C code.
     double emterpreterFactor = 1;
+    /// asm.js-vs-native factor for compiled C code that runs natively
+    /// here (TeX's typesetter): the surcharge is (factor - 1) times the
+    /// measured native time. 2016-era asm.js integer loops ran ~3x native.
+    double asmjsFactor = 1;
 
     static const BrowserProfile &chrome2016();
     static const BrowserProfile &firefox2016();
-    /// All-zero costs; used by unit tests and functional examples.
+    /// All-zero costs and neutral (1x) factors; used by unit tests,
+    /// functional examples and host-time benchmarks.
     static const BrowserProfile &fast();
 };
 

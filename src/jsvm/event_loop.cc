@@ -1,7 +1,6 @@
 #include "jsvm/event_loop.h"
 
-#include <chrono>
-#include <limits>
+#include <algorithm>
 
 #include "jsvm/util.h"
 
@@ -71,53 +70,58 @@ EventLoop::clearTimeout(uint64_t id)
     timers_.erase(id);
 }
 
-void
+int64_t
 EventLoop::promoteDueTimersLocked(int64_t now)
 {
+    int64_t next = -1;
     for (auto it = timers_.begin(); it != timers_.end();) {
         if (it->second.due_us <= now) {
             queue_.push_back(std::move(it->second.fn));
             it = timers_.erase(it);
         } else {
+            if (next < 0 || it->second.due_us < next)
+                next = it->second.due_us;
             ++it;
         }
     }
+    return next;
 }
 
 bool
-EventLoop::takeTask(Task &out, bool wait)
+EventLoop::takeTask(Task &out, Deadline deadline)
 {
     std::unique_lock<std::mutex> lk(mutex_);
     for (;;) {
-        promoteDueTimersLocked(nowUs());
+        int64_t now = nowUs();
+        int64_t next = promoteDueTimersLocked(now);
         if (!queue_.empty()) {
             out = std::move(queue_.front());
             queue_.pop_front();
             return true;
         }
-        if (!wait)
+        Deadline real_now = Deadline::clock::now();
+        if (deadline <= real_now)
             return false;
-        // Sleep until the next timer is due or something is posted.
-        int64_t next = std::numeric_limits<int64_t>::max();
-        for (const auto &[id, t] : timers_)
-            next = std::min(next, t.due_us);
-        if (next == std::numeric_limits<int64_t>::max()) {
+        if (next < 0 && deadline == Deadline::max()) {
             cv_.wait(lk);
-        } else {
-            int64_t now = nowUs();
-            if (next > now) {
-                cv_.wait_for(lk,
-                             std::chrono::microseconds(next - now));
-            }
+            continue;
         }
+        // Wake at the deadline, the next timer, or a post — whichever
+        // comes first. Timer due times are nowUs() time; their distance
+        // from now is waited out in real time.
+        Deadline until = deadline;
+        if (next >= 0)
+            until = std::min(until,
+                             real_now + std::chrono::microseconds(next - now));
+        cv_.wait_until(lk, until);
     }
 }
 
 bool
-EventLoop::pumpOne(bool wait)
+EventLoop::pumpOne(Deadline deadline)
 {
     Task t;
-    if (!takeTask(t, wait))
+    if (!takeTask(t, deadline))
         return false;
     CurrentGuard guard(this);
     t();

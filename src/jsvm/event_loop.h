@@ -8,6 +8,7 @@
  */
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -22,6 +23,9 @@ class EventLoop
 {
   public:
     using Task = std::function<void()>;
+    /// Real (steady_clock) time: waits are wall-clock even while a
+    /// jsvm::TestClock freezes nowUs().
+    using Deadline = std::chrono::steady_clock::time_point;
 
     EventLoop() = default;
     EventLoop(const EventLoop &) = delete;
@@ -44,12 +48,19 @@ class EventLoop
     void clearTimeout(uint64_t id);
 
     /**
-     * Run a single task.
+     * Run a single task, waiting until `deadline` for one to become
+     * ready (a post, or a timer falling due). A deadline already past
+     * does not wait; Deadline::max() waits for as long as it takes.
      *
-     * @param wait block until a task is ready when none pending.
      * @return true if a task ran.
      */
-    bool pumpOne(bool wait);
+    bool pumpOne(Deadline deadline);
+
+    /** pumpOne with no wait, or with no deadline when `wait`. */
+    bool pumpOne(bool wait)
+    {
+        return pumpOne(wait ? Deadline::max() : Deadline::min());
+    }
 
     /** Drain all currently-ready tasks (and due timers); returns count. */
     size_t pump();
@@ -74,9 +85,13 @@ class EventLoop
         Task fn;
     };
 
-    // Pop one ready task; with wait, blocks until one is ready.
-    bool takeTask(Task &out, bool wait);
-    void promoteDueTimersLocked(int64_t now);
+    // Pop one ready task, waiting until `deadline` for one. The only
+    // wait loop: post/setTimeout push under mutex_ before notifying, and
+    // the queue is checked under the same lock, so no wake is lost.
+    bool takeTask(Task &out, Deadline deadline);
+    // Queue every timer due by `now`; returns the soonest remaining due
+    // time, or -1 when none is pending.
+    int64_t promoteDueTimersLocked(int64_t now);
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;

@@ -1,11 +1,15 @@
 /**
  * @file
  * Browser-substrate tests: structured clone, event loops, workers,
- * SharedArrayBuffer + Atomics, blobs, and the cost model.
+ * SharedArrayBuffer + Atomics, blobs, the main loop's wake-up contract,
+ * and the cost model.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "jsvm/browser.h"
@@ -498,6 +502,91 @@ TEST(Worker, TerminatedWorkerDropsMessages)
     EXPECT_EQ(received, 0);
 }
 
+// ---------- Browser main loop ----------
+
+namespace {
+int64_t
+elapsedUs(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+} // namespace
+
+TEST(Browser, PostedTaskWakesRunUntilAtOnce)
+{
+    // Ping-pong between a host thread and the main loop: every round
+    // trip is one post each way. A loop that polls every 200 µs would
+    // need at least kRounds * 200 µs; waking on the post needs far less.
+    constexpr int kRounds = 2000;
+    Browser browser;
+    std::mutex mu;
+    std::condition_variable cv;
+    int pongs = 0; // guarded by mu
+    std::thread host([&]() {
+        for (int i = 0; i < kRounds; i++) {
+            browser.mainLoop().post([&]() {
+                std::lock_guard<std::mutex> lk(mu);
+                pongs++;
+                cv.notify_one();
+            });
+            std::unique_lock<std::mutex> lk(mu);
+            cv.wait(lk, [&]() { return pongs > i; });
+        }
+    });
+    auto t0 = std::chrono::steady_clock::now();
+    bool done = browser.runUntil(
+        [&]() {
+            std::lock_guard<std::mutex> lk(mu);
+            return pongs == kRounds;
+        },
+        30000);
+    int64_t us = elapsedUs(t0);
+    host.join();
+    EXPECT_TRUE(done);
+    EXPECT_LT(us, kRounds * 200)
+        << "runUntil must wake on a post, not on a 200 us poll";
+}
+
+TEST(Browser, RunUntilRechecksUnannouncedState)
+{
+    // A host thread sets the flag without posting anything: runUntil
+    // still sees it within its re-check period, long before the timeout.
+    Browser browser;
+    std::atomic<bool> flag{false};
+    std::thread host([&]() {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        flag = true;
+    });
+    auto t0 = std::chrono::steady_clock::now();
+    EXPECT_TRUE(browser.runUntil([&]() { return flag.load(); }, 30000));
+    EXPECT_LT(elapsedUs(t0), 5000000);
+    host.join();
+}
+
+TEST(Browser, RunUntilTimesOut)
+{
+    Browser browser;
+    auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(browser.runUntil([]() { return false; }, 5));
+    int64_t us = elapsedUs(t0);
+    EXPECT_GE(us, 5000);
+    EXPECT_LT(us, 1000000);
+}
+
+TEST(Browser, MainLoopTimerEndsTheWait)
+{
+    Browser browser;
+    bool fired = false;
+    auto t0 = std::chrono::steady_clock::now();
+    browser.mainLoop().setTimeout([&]() { fired = true; }, 2000);
+    EXPECT_TRUE(browser.runUntil([&]() { return fired; }, 30000));
+    int64_t us = elapsedUs(t0);
+    EXPECT_GE(us, 2000);
+    EXPECT_LT(us, 1000000);
+}
+
 // ---------- Cost model ----------
 
 TEST(CostModel, FastProfileChargesNothing)
@@ -507,6 +596,23 @@ TEST(CostModel, FastProfileChargesNothing)
     for (int i = 0; i < 1000; i++)
         costs.chargeMessage(1024);
     EXPECT_LT(nowUs() - t0, 50000);
+}
+
+TEST(CostModel, FastProfileIsNeutral)
+{
+    // Host-time benchmarks run under fast(): no field may add simulated
+    // time, so every cost is 0 and every factor is 1.
+    const BrowserProfile &p = BrowserProfile::fast();
+    EXPECT_EQ(p.postMessageUs, 0);
+    EXPECT_EQ(p.cloneUsPerKb, 0);
+    EXPECT_EQ(p.workerSpawnUs, 0);
+    EXPECT_EQ(p.parseUsPerKb, 0);
+    EXPECT_EQ(p.jsComputeFactor, 1);
+    EXPECT_EQ(p.emterpreterFactor, 1);
+    EXPECT_EQ(p.asmjsFactor, 1);
+    // The paper profiles keep the calibrated asm.js surcharge.
+    EXPECT_EQ(BrowserProfile::chrome2016().asmjsFactor, 3);
+    EXPECT_EQ(BrowserProfile::firefox2016().asmjsFactor, 3);
 }
 
 TEST(CostModel, MessageChargeScalesWithProfile)
