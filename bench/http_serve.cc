@@ -9,8 +9,8 @@
  * This is §5.2's client/server experiment scaled from one request to
  * serving-path throughput: every byte crosses a SimLink-shaped link in
  * both directions, readiness arrives via epoll_wait SQEs parked on the
- * deferral protocol, and every ready connection's read rides one
- * doorbell-coalesced SQ batch. Reported: per-request latency
+ * deferral protocol, and every ready connection's read rides one SQ
+ * batch under one doorbell. Reported: per-request latency
  * percentiles, Atomics notifies per request, requests per doorbell,
  * deferred-CQE share, and the kernel's drain-pass shape histograms.
  */

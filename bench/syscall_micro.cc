@@ -296,8 +296,7 @@ main()
 
     // ---- vectored write traffic: writev SQEs, serial vs batch-8 ----
     // Each writev is one ring entry carrying four spans; at batch 8 one
-    // doorbell and one wake cover eight gathers, and under the coalesced
-    // doorbell bursty rounds skip even the per-batch message.
+    // doorbell and one wake cover eight gathers.
     const int kWvRounds = smokeMode() ? 20 : 300;
     struct WvResult
     {

@@ -1,7 +1,6 @@
 #include "kernel/kernel.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "bfs/path.h"
@@ -749,19 +748,7 @@ Kernel::ringNotify(Task &t)
 }
 
 void
-Kernel::scheduleRingDrain(int pid, int idle_grace)
-{
-    stats_.ringDrainsScheduled++;
-    browser_.mainLoop().post(
-        [this, pid, idle_grace, alive = std::weak_ptr<int>(aliveTag_)]() {
-            if (alive.expired())
-                return; // the kernel is gone; the loop task outlived it
-            drainSyscallRing(pid, idle_grace);
-        });
-}
-
-void
-Kernel::drainSyscallRing(int pid, int idle_grace)
+Kernel::drainSyscallRing(int pid)
 {
     Task *t = task(pid);
     if (!t || t->state == TaskState::Zombie || !t->ring.registered ||
@@ -775,11 +762,8 @@ Kernel::drainSyscallRing(int pid, int idle_grace)
     jsvm::RingIndices sq(*heap, ring.sqHeadOff(), ring.sqTailOff(),
                          ring.entries());
 
-    // Arm the coalescing word BEFORE clearing the doorbell: a producer
-    // always observes at least one of the two set, so whether it skips
-    // the message (drainPending armed) or its doorbell CAS fails, this
-    // pass — or the follow-up it schedules — sees its published tail.
-    jsvm::Atomics::store(*heap, ring.drainPendingOff(), 1);
+    // The doorbell invariant (syscall_ring.h): clear it BEFORE reading
+    // the tail, or a producer whose CAS fails meanwhile is stranded.
     jsvm::Atomics::store(*heap, ring.doorbellOff(), 0);
     t->ring.draining = true;
     t->ring.deferredNotify = false;
@@ -818,57 +802,16 @@ Kernel::drainSyscallRing(int pid, int idle_grace)
     t->ring.draining = false;
     if (consumed > 0) {
         // Batches count consumed work: a doorbell that raced an earlier
-        // drain and found the SQ empty is not a batch. One notify per
-        // batch: wake the waiter for the completions that landed (and
-        // for any SQ slots a backpressure-parked producer is waiting on).
+        // drain and found the SQ empty is not a batch.
         stats_.ringBatchesDrained++;
         stats_.ringBatchDepth.record(consumed);
         stats_.ringDrainUs.record(
             static_cast<uint64_t>(jsvm::nowUs() - pass_start_us));
-        t->ring.idleHintPasses = 0;
+    }
+    // One notify per pass: for the completions (and SQ slots) it freed,
+    // or for a deferred CQE pushed while it ran.
+    if (consumed > 0 || t->ring.deferredNotify)
         ringNotify(*t);
-        // Adaptive doorbell coalescing: keep drainPending armed and
-        // queue a follow-up pass, so a bursty producer's next batch
-        // skips even the one message per batch. The pipeline winds down
-        // once a pass (plus its grace) finds the SQ empty.
-        scheduleRingDrain(pid, 1);
-        return;
-    }
-    if (t->ring.deferredNotify)
-        ringNotify(*t);
-    if (idle_grace > 0) {
-        // Linger armed for one more pass: the producer this pipeline is
-        // serving was woken a moment ago and its next batch is likely
-        // mid-publish — disarming now would cost it a doorbell message.
-        scheduleRingDrain(pid, idle_grace - 1);
-        return;
-    }
-    // More-coming hint: the producer declared a wait-then-submit burst in
-    // flight, so stay armed through the gap where it is reaping the last
-    // completion and publishing the next batch — its whole burst then
-    // rides one doorbell message. The hint is advisory: a liveness cap
-    // bounds how many consecutive empty passes it can buy, so a producer
-    // that died (or forgot to clear it) cannot pin the pipeline.
-    constexpr int kIdleHintCap = 64;
-    if (jsvm::Atomics::load(*heap, ring.moreHintOff()) == 1 &&
-        t->ring.idleHintPasses < kIdleHintCap) {
-        t->ring.idleHintPasses++;
-        // Give the producer (a pool thread) the CPU before the next
-        // pass: on a loaded host the re-posting main loop would
-        // otherwise spin through the whole cap before the producer got
-        // a slice to publish its next batch.
-        std::this_thread::yield();
-        scheduleRingDrain(pid, 0);
-        return;
-    }
-    t->ring.idleHintPasses = 0;
-    // Idle: disarm, then re-check the tail. A producer publishing
-    // between the loop's empty check and this store saw drainPending
-    // armed and skipped its doorbell message — it must not be stranded,
-    // so hand any late tail to a fresh pass (which re-arms).
-    jsvm::Atomics::store(*heap, ring.drainPendingOff(), 0);
-    if (!sq.empty())
-        scheduleRingDrain(pid, 0);
 }
 
 } // namespace kernel

@@ -56,17 +56,11 @@ struct KernelStats
     /// issued (the whole point is notifies << ring syscalls), and CQEs
     /// dropped because a non-conforming producer overflowed its CQ.
     uint64_t ringBatchesDrained = 0;
-    /// Doorbell messages received ("ring" worker messages). Under the
-    /// coalesced doorbell this stays below the batch count: producers
-    /// skip the message while a drain pass is scheduled.
+    /// Doorbell messages received ("ring" worker messages). Each buys
+    /// one drain pass, so this never falls below ringBatchesDrained.
     uint64_t ringDoorbells = 0;
     uint64_t ringNotifies = 0;
     uint64_t ringCqOverflows = 0;
-    /// Adaptive doorbell coalescing: follow-up drain passes the kernel
-    /// scheduled after a productive batch. While one is pending the
-    /// drainPending header word stays armed and producers skip the
-    /// doorbell message entirely (see syscall_ring.h).
-    uint64_t ringDrainsScheduled = 0;
     /// SQEs rejected at drain time because a heap-offset argument fell
     /// outside the personality heap (completed with -EFAULT, never
     /// dispatched to a handler).
@@ -261,23 +255,12 @@ class Kernel
     void doExit(Task &t, int status);
     void deliverSignal(Task &t, int sig);
     /**
-     * Drain the task's submission ring: consume every published SQE,
-     * dispatch it, and issue (at most) one Atomics notify for the whole
-     * batch. Invoked per doorbell message and per scheduled follow-up
-     * pass; a batch submitted under one doorbell is drained in one pump.
-     * idle_grace: how many consecutive empty passes may linger (armed,
-     * rescheduling) before the coalescing pipeline disarms — one pass of
-     * grace bridges the gap between a producer being woken and its next
-     * batch landing in the SQ.
+     * Drain the task's submission ring, once per doorbell message: clear
+     * the doorbell before reading the tail (the invariant in
+     * runtime/syscall_ring.h), consume and dispatch every published SQE,
+     * and issue at most one Atomics notify for the whole pass.
      */
-    void drainSyscallRing(int pid, int idle_grace = 1);
-    /**
-     * Queue a follow-up drain pass for pid on the main loop (adaptive
-     * doorbell coalescing): the ring's drainPending word stays armed
-     * until a pass (and its grace passes) find the SQ empty, so
-     * producers publishing meanwhile skip the doorbell message entirely.
-     */
-    void scheduleRingDrain(int pid, int idle_grace);
+    void drainSyscallRing(int pid);
     /** Wake a ring waiter (wait word := 1 + notify). Used at end-of-batch
      * and for completions that land outside a drain. */
     void ringNotify(Task &t);
@@ -338,10 +321,6 @@ class Kernel
     Bootstrapper bootstrapper_;
     KernelStats stats_;
     int nprocLimit_ = 4096;
-    /// Liveness tag for loop tasks the kernel posts to itself (scheduled
-    /// ring drains): a task whose weak_ptr expired outlived the kernel
-    /// and must do nothing.
-    std::shared_ptr<int> aliveTag_ = std::make_shared<int>(0);
 
     int nextPid_ = 1;
     TaskTable tasks_;

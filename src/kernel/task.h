@@ -68,10 +68,6 @@ struct Task
         int32_t entries = 0;
         bool draining = false;
         bool deferredNotify = false;
-        /// Consecutive empty drain passes kept alive only by the
-        /// producer's more-coming hint; capped so a producer that dies
-        /// (or lies) mid-burst cannot pin the drain pipeline forever.
-        int idleHintPasses = 0;
     };
     RingState ring;
 

@@ -195,11 +195,6 @@ EmEnv::writev(int fd, const std::vector<std::string> &parts)
     // holds the ring region), so arbitrarily long fragment lists — a
     // whole `ls -lR` listing — gather safely.
     const size_t kScratchBudget = 256 * 1024;
-    // Multi-chunk gathers are wait-then-submit bursts (one writev per
-    // chunk): the hint keeps the kernel's drain pipeline armed between
-    // chunks so only the first pays a doorbell message. Guard-scoped:
-    // a short write or error return mid-gather must still clear it.
-    HintScope hint(ring_.get());
     int64_t total = 0;
     size_t i = 0;
     while (i < parts.size()) {
@@ -375,10 +370,6 @@ EmEnv::statBatch(const std::vector<std::string> &paths, bool follow)
     // capacity and by a scratch-byte budget (the 1 MiB heap also holds
     // the ring region itself).
     const size_t kScratchBudget = 256 * 1024;
-    // A multi-chunk batch is a wait-then-submit burst: declare it, so the
-    // kernel's drain pipeline stays armed across the reap gap between
-    // chunks and every chunk after the first skips its doorbell message.
-    HintScope hint(ring_.get());
     size_t i = 0;
     while (i < paths.size()) {
         sync_->resetScratch();

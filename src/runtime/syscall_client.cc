@@ -430,15 +430,6 @@ RingSyscalls::flush()
         return;
     unflushed_ = 0;
     jsvm::SharedArrayBuffer &heap = sync_.heap();
-    // Adaptive coalescing: while the kernel has a drain pass scheduled
-    // (drainPending armed), the published tail will be observed without
-    // any message at all — the kernel only disarms after an empty pass
-    // re-checks the tail, so a submission that saw the word armed can
-    // never be stranded.
-    if (jsvm::Atomics::load(heap, layout_.drainPendingOff()) == 1) {
-        coalesced_++;
-        return;
-    }
     // Only the 0 -> 1 transition posts a message. A CAS failure means a
     // doorbell is already in flight, and the kernel clears the flag
     // before reading the tail — so it will see everything published up
@@ -450,13 +441,6 @@ RingSyscalls::flush()
         msg.set("t", jsvm::Value("ring"));
         sync_.client().scope().postMessage(msg);
     }
-}
-
-void
-RingSyscalls::hintMore(bool more)
-{
-    jsvm::Atomics::store(sync_.heap(), layout_.moreHintOff(),
-                         more ? 1 : 0);
 }
 
 RingSyscalls::Completion

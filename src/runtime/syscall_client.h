@@ -237,11 +237,8 @@ class RingSyscalls
 
     /**
      * Ring the doorbell if submissions are pending and no doorbell is
-     * already in flight. Adaptive coalescing: when the kernel has a
-     * drain pass scheduled (the drainPending header word), even the
-     * doorbell message is skipped — the scheduled drain will see the
-     * published tail — cutting bursty producers below one message per
-     * batch.
+     * already in flight: one message covers every SQE published before
+     * the kernel's drain pass clears the doorbell word.
      */
     void flush();
 
@@ -249,24 +246,11 @@ class RingSyscalls
      * jsvm::WorkerTerminated if the worker is killed meanwhile. */
     Completion wait(uint32_t seq);
 
-    /**
-     * Advisory "more SQEs coming shortly" hint for wait-then-submit
-     * bursts (a loop of submit → wait → submit ...). While set, the
-     * kernel's drain pipeline stays armed across the gaps where this
-     * producer is between completions, so the burst's later batches skip
-     * the doorbell message entirely. Set it before the loop, clear it
-     * after; forgetting to clear costs the kernel a bounded number of
-     * empty drain passes (it caps consecutive idle-with-hint passes).
-     */
-    void hintMore(bool more);
-
     uint32_t capacity() const { return layout_.entries(); }
     /** Submitted but not yet reaped. */
     uint32_t inflight() const { return inflight_; }
     uint64_t doorbellsRung() const { return doorbells_; }
-    /** Batches whose doorbell message was skipped because the kernel
-     * already had a drain scheduled (adaptive coalescing). */
-    uint64_t doorbellsCoalesced() const { return coalesced_; }
+    const sys::RingLayout &layout() const { return layout_; }
 
   private:
     void reap();
@@ -282,34 +266,7 @@ class RingSyscalls
     uint32_t inflight_ = 0;
     uint32_t unflushed_ = 0; // submitted since the last doorbell coverage
     uint64_t doorbells_ = 0;
-    uint64_t coalesced_ = 0;
     std::map<uint32_t, Completion> done_;
-};
-
-/**
- * RAII for RingSyscalls::hintMore: declares a wait-then-submit burst for
- * its scope and clears the hint on every exit path (early returns, short
- * writes, exceptions). A null ring makes it a no-op, so callers with an
- * optional ring need no branch.
- */
-class HintScope
-{
-  public:
-    explicit HintScope(RingSyscalls *ring) : ring_(ring)
-    {
-        if (ring_)
-            ring_->hintMore(true);
-    }
-    ~HintScope()
-    {
-        if (ring_)
-            ring_->hintMore(false);
-    }
-    HintScope(const HintScope &) = delete;
-    HintScope &operator=(const HintScope &) = delete;
-
-  private:
-    RingSyscalls *ring_;
 };
 
 } // namespace rt

@@ -23,24 +23,19 @@
  *   +16  wait word the process parks here; the kernel stores 1 + notifies
  *   +20  doorbell  1 while a doorbell message is in flight (CAS-guarded so
  *                  a burst of submissions posts one message, not many)
- *   +24  drainPending  1 while the kernel has a drain pass scheduled
- *                  (adaptive doorbell coalescing): producers that see it
- *                  skip the doorbell message entirely — the scheduled
- *                  drain will observe their published tail. Kernel-owned:
- *                  armed before a drain starts, and only disarmed after a
- *                  pass that found the SQ empty re-checks the tail (so a
- *                  producer that skipped the message is never stranded).
- *   +28  moreHint  1 while the producer is mid-burst ("more SQEs coming
- *                  shortly"): the kernel's drain pipeline stays armed
- *                  through empty passes instead of disarming, so the rest
- *                  of the burst rides the already-scheduled drains and
- *                  pays zero doorbell messages. Process-owned; advisory —
- *                  the kernel caps consecutive idle-with-hint passes so a
- *                  producer that dies mid-burst cannot pin the pipeline.
- *   +32  SQ entries: entries × 32 B, each 8 × i32:
+ *   +24  SQ entries: entries × 32 B, each 8 × i32:
  *          [trap, seq, arg0..arg5]
- *   +32 + entries*32  CQ entries: entries × 16 B, each 4 × i32:
+ *   +24 + entries*32  CQ entries: entries × 16 B, each 4 × i32:
  *          [seq, r0, r1, reserved]
+ *
+ * Doorbell invariant (one doorbell, one drain pass): the producer
+ * publishes sqTail, then posts a "ring" message only if it wins the
+ * doorbell CAS 0 -> 1. The kernel drains only in answer to that message,
+ * and clears the doorbell BEFORE it reads the tail, then consumes until
+ * the SQ is empty. A producer whose CAS fails therefore published while
+ * the word was still set, i.e. before the clear, so the pass the
+ * in-flight message asked for sees its tail; a producer publishing after
+ * the clear wins the CAS and posts a fresh message. No SQE is stranded.
  *
  * head/tail are free-running counters managed by jsvm::RingIndices; both
  * queues hold `entries` slots (a power of two). The runtime caps in-flight
@@ -102,7 +97,7 @@ bool sqeHeapArgsValid(const Sqe &e, const jsvm::SharedArrayBuffer &heap);
 class RingLayout
 {
   public:
-    static constexpr size_t kHeaderBytes = 32;
+    static constexpr size_t kHeaderBytes = 24;
     static constexpr size_t kSqeBytes = 32;
     static constexpr size_t kCqeBytes = 16;
 
@@ -129,8 +124,6 @@ class RingLayout
     size_t cqTailOff() const { return base_ + 12; }
     size_t waitOff() const { return base_ + 16; }
     size_t doorbellOff() const { return base_ + 20; }
-    size_t drainPendingOff() const { return base_ + 24; }
-    size_t moreHintOff() const { return base_ + 28; }
 
     size_t sqeOff(uint32_t slot) const
     {

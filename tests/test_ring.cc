@@ -11,10 +11,7 @@
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "apps/registry.h"
 #include "core/browsix.h"
@@ -35,70 +32,6 @@ addProgram(const std::string &name, rt::EmProgramFn fn,
     testutil::addProgram(name, std::move(fn), kind);
 }
 
-/**
- * What a bursty guest tells the host: the seq of the last SQE it has
- * published (seqs count the ring's submissions from 1), and whether it
- * has stopped submitting.
- */
-struct BurstGate
-{
-    std::atomic<uint32_t> published{0};
-    std::atomic<bool> finished{false};
-};
-
-/**
- * Run `path` to exit, stepping the main loop by hand. Each time a drain
- * pass re-posts a follow-up pass, and at least `empty_passes` passes in
- * a row have found the SQ empty since the last productive one, this
- * holds the queue (the follow-up and everything behind it) until the
- * guest has published an SQE the kernel has not consumed yet, or has
- * finished submitting. The guest's next flush then lands while the
- * pipeline is still armed on any host, instead of racing a pool thread
- * for that window; the window is the harness's doing, not the kernel's.
- *
- * empty_passes = 0 holds after every productive pass. empty_passes = 2
- * holds only once the one-pass grace has run out: the third follow-up
- * is posted only for a producer's more-coming hint, so without the hint
- * nothing is held and the pipeline disarms as it would unheld.
- */
-RunResult
-runHoldingArmedDrains(Browsix &bx, const std::string &path,
-                      const BurstGate &gate, int empty_passes)
-{
-    using Clock = std::chrono::steady_clock;
-    auto deadline = Clock::now() + std::chrono::seconds(30);
-    RunResult r;
-    bool exited = false;
-    bx.kernel().spawnRoot(
-        {path}, bx.kernel().defaultEnv, "/",
-        [&](int st) {
-            r.status = st;
-            exited = true;
-        },
-        nullptr, nullptr, [&](int) {});
-    const auto &stats = bx.kernel().stats();
-    uint64_t base = stats.ringSyscallCount;
-    int empties = 0;
-    while (!exited && Clock::now() < deadline) {
-        uint64_t drained = stats.ringBatchesDrained;
-        uint64_t posted = stats.ringDrainsScheduled;
-        if (!bx.browser().mainLoop().pumpOne(Clock::now() +
-                                             std::chrono::milliseconds(1)))
-            continue;
-        if (stats.ringDrainsScheduled == posted)
-            continue; // no follow-up pass: nothing armed to hold
-        empties = stats.ringBatchesDrained != drained ? 0 : empties + 1;
-        if (empties < empty_passes)
-            continue;
-        while (!gate.finished &&
-               gate.published <= stats.ringSyscallCount - base &&
-               Clock::now() < deadline)
-            std::this_thread::yield();
-    }
-    r.ok = exited;
-    return r;
-}
-
 } // namespace
 
 TEST(RingLayout, ValidationRejectsMalformedRegions)
@@ -111,9 +44,10 @@ TEST(RingLayout, ValidationRejectsMalformedRegions)
     EXPECT_FALSE(RingLayout::valid(16, 48, heap)) << "non-power-of-two";
     EXPECT_FALSE(RingLayout::valid(16, 0, heap)) << "zero entries";
     EXPECT_FALSE(RingLayout::valid(16, 8192, heap)) << "entries cap";
-    // 64 entries need 32 + 64*48 = 3104 bytes: reject a heap too small.
-    EXPECT_FALSE(RingLayout::valid(16, 64, 3000));
-    EXPECT_TRUE(RingLayout::valid(0, 64, 3104));
+    // 64 entries need 24 + 64*48 = 3096 bytes: reject a heap too small.
+    EXPECT_EQ(RingLayout::kHeaderBytes, 24u);
+    EXPECT_FALSE(RingLayout::valid(0, 64, 3095));
+    EXPECT_TRUE(RingLayout::valid(0, 64, 3096));
 }
 
 TEST(RingSyscalls, KernelRejectsBogusRegistration)
@@ -286,6 +220,8 @@ TEST(RingSyscalls, CountersAndLatencyHistogramsTrackRingCalls)
         << "a conforming producer must never overflow its CQ";
     EXPECT_GE(st.ringSyscallCount, 32u);
     EXPECT_GE(st.ringBatchesDrained, 1u);
+    EXPECT_LE(st.ringBatchesDrained, st.ringDoorbells)
+        << "every drain pass is the one a doorbell message asked for";
     EXPECT_LT(st.ringNotifies, st.ringSyscallCount)
         << "batching exists to keep notifies below per-call count";
 
@@ -619,127 +555,76 @@ TEST(RingSyscalls, HostileIovsCompleteWithEfault)
         << "each hostile vectored SQE must be an -EFAULT at drain time";
 }
 
-TEST(RingSyscalls, CoalescedDoorbellSkipsMessagesAcrossBursts)
+TEST(RingSyscalls, PipelinedBurstsNeverStrandAnSqe)
 {
-    // Adaptive doorbell coalescing: a producer that keeps the SQ warm
-    // (pipelined bursts of 8) pays fewer doorbell messages than bursts —
-    // while a kernel drain pass is scheduled, flush() skips the message
-    // and the scheduled pass picks up the published tail. The window is
-    // forced by the harness, not produced by the kernel: the host holds
-    // each armed follow-up pass until the next burst is published (left
-    // to the kernel's one-pass grace, a pool-thread producer almost
-    // never makes it). Every burst still completes, and notifies stay
-    // coalesced (≈ one per productive drain, far below one per call).
-    jsvm::TestClock clock;
+    // Doorbell liveness under real scheduling. Bursts go in pairs: a
+    // burst of 8, then a one-SQE burst published before the first is
+    // reaped, just as the kernel's pass over the first runs out of SQEs
+    // (the producer watches sqHead catch up with sqTail, then waits a
+    // delay that sweeps a few hundred ns across the pairs). Its flush
+    // races the end of that pass; one SQE is what fits between the
+    // pass's last tail read and its end. The kernel clears the doorbell
+    // before it reads the tail (syscall_ring.h), so the SQE is either
+    // drained by the running pass or wins the CAS and rings again. A
+    // clear made any later strands it: nothing rings for it, and waiting
+    // on it times the run out (real time, no TestClock: runArgv's
+    // wall-clock deadline bounds a strand).
     constexpr int kBatch = 8;
-    constexpr int kMaxBursts = 512; // safety valve, typically a handful
-    auto gate = std::make_shared<BurstGate>();
-    addProgram("ring-coalesce", [gate](rt::EmEnv &env) -> int {
+    constexpr int kPairs = 256;
+    constexpr int kBursts = 2 * kPairs;
+    addProgram("ring-pipeline", [](rt::EmEnv &env) -> int {
         rt::RingSyscalls *ring = env.ring();
         if (!ring)
             return 1;
-        // Pipelined bursts: submit the next batch before reaping the
-        // previous, keeping the SQ warm, until at least one flush was
-        // absorbed by an armed drain pipeline (or the valve trips —
-        // which would mean coalescing never engages).
-        std::vector<uint32_t> prev, cur;
-        int bursts = 0;
-        while (bursts < kMaxBursts && ring->doorbellsCoalesced() == 0) {
-            cur.clear();
-            for (int i = 0; i < kBatch; i++)
-                cur.push_back(ring->submit(sys::GETPID, {}));
+        jsvm::SharedArrayBuffer &heap = env.syncCalls()->heap();
+        const sys::RingLayout &layout = ring->layout();
+        auto burst = [&](int n) {
+            std::vector<uint32_t> seqs;
+            for (int i = 0; i < n; i++)
+                seqs.push_back(ring->submit(sys::GETPID, {}));
             ring->flush();
-            gate->published = cur.back();
-            bursts++;
-            for (uint32_t seq : prev) {
-                if (ring->wait(seq).r0 != env.pid())
-                    return 2;
+            return seqs;
+        };
+        for (int pair = 0; pair < kPairs; pair++) {
+            std::vector<uint32_t> first = burst(kBatch);
+            // Bounded: a first burst that is never drained must still
+            // reach wait() below, where termination can unwind it.
+            for (int spins = 0;
+                 spins < 1000000 &&
+                 jsvm::Atomics::load(heap, layout.sqHeadOff()) !=
+                     jsvm::Atomics::load(heap, layout.sqTailOff());
+                 spins++) {
             }
-            prev = cur;
+            for (volatile int n = pair * 37 % 256; n > 0; n = n - 1) {
+            }
+            std::vector<uint32_t> second = burst(1);
+            for (const auto *seqs : {&first, &second}) {
+                for (uint32_t seq : *seqs) {
+                    if (ring->wait(seq).r0 != env.pid())
+                        return 2;
+                }
+            }
         }
-        gate->finished = true;
-        for (uint32_t seq : prev) {
-            if (ring->wait(seq).r0 != env.pid())
-                return 3;
-        }
-        if (ring->doorbellsCoalesced() == 0)
-            return 4; // never once skipped a message: coalescing broken
-        // Far fewer messages than bursts: a flush is either a message,
-        // a drainPending skip, or covered by a still-in-flight doorbell.
-        if (ring->doorbellsRung() >= static_cast<uint64_t>(bursts))
-            return 5;
-        return 0;
-    });
-    Browsix bx;
-    stage(bx, "ring-coalesce");
-    auto before = bx.kernel().stats();
-    auto r = runHoldingArmedDrains(bx, "/usr/bin/ring-coalesce", *gate, 0);
-    EXPECT_TRUE(r.ok);
-    EXPECT_EQ(r.exitCode(), 0);
-    auto after = bx.kernel().stats();
-    uint64_t calls = after.ringSyscallCount - before.ringSyscallCount;
-    uint64_t notifies = after.ringNotifies - before.ringNotifies;
-    uint64_t bursts = calls / kBatch;
-    EXPECT_GT(after.ringDrainsScheduled, before.ringDrainsScheduled)
-        << "productive drains must keep the coalescing pipeline armed";
-    // One notify per coalesced burst: every productive drain issues one
-    // notify for its whole batch (split drains can add a few), far
-    // below one per call.
-    EXPECT_LE(notifies, 2 * bursts + 4)
-        << "notifies must track bursts, not calls";
-    EXPECT_LT(notifies, calls / 2);
-}
-
-TEST(RingSyscalls, MoreComingHintDropsDoorbellsForWaitThenSubmitBursts)
-{
-    // The producer-side "more coming" hint: a strict wait-then-submit
-    // loop (submit one, flush, wait — the worst case for coalescing,
-    // since the SQ is empty whenever the producer is parked) declares
-    // the burst via hintMore(true). The kernel's drain pipeline then
-    // stays armed through the gaps where the producer is reaping, so
-    // every flush after the first finds drainPending set and skips its
-    // doorbell message. Without the hint each round would re-ring once
-    // the pipeline's one-pass grace expired. The host holds only a pass
-    // the hint posted after that grace, until the next round is
-    // published, so the hint bridges the reap gap on any host (not only
-    // while the guest wins its race with the 64-pass hint cap).
-    jsvm::TestClock clock;
-    constexpr int kRounds = 32;
-    auto gate = std::make_shared<BurstGate>();
-    addProgram("ring-morehint", [gate](rt::EmEnv &env) -> int {
-        rt::RingSyscalls *ring = env.ring();
-        if (!ring)
-            return 1;
-        rt::HintScope hint(ring);
-        for (int i = 0; i < kRounds; i++) {
-            uint32_t seq = ring->submit(sys::GETPID, {});
-            ring->flush();
-            gate->published = seq;
-            if (ring->wait(seq).r0 != env.pid())
-                return 2;
-        }
-        gate->finished = true;
-        // The message-count drop is the whole point: one doorbell buys
-        // the entire burst (a small allowance for a pipeline wind-down
-        // losing a race with the next round's flush).
-        if (ring->doorbellsRung() > 3)
+        // At most one message per burst: a flush either rings or finds
+        // a doorbell still in flight.
+        if (ring->doorbellsRung() > static_cast<uint64_t>(kBursts))
             return 3;
-        if (ring->doorbellsCoalesced() < kRounds - 4)
-            return 4;
         return 0;
     });
     Browsix bx;
-    stage(bx, "ring-morehint");
+    stage(bx, "ring-pipeline");
     auto before = bx.kernel().stats();
-    auto r = runHoldingArmedDrains(bx, "/usr/bin/ring-morehint", *gate, 2);
-    EXPECT_TRUE(r.ok);
+    auto r = bx.runArgv({"/usr/bin/ring-pipeline"});
+    EXPECT_TRUE(r.ok) << "timed out: an SQE was stranded";
     EXPECT_EQ(r.exitCode(), 0);
     auto after = bx.kernel().stats();
     EXPECT_EQ(after.ringSyscallCount - before.ringSyscallCount,
-              static_cast<uint64_t>(kRounds))
-        << "every round must still complete through the ring";
-    EXPECT_LE(after.ringDoorbells - before.ringDoorbells, 3u)
-        << "the hint must absorb the per-round doorbell messages";
+              static_cast<uint64_t>((kBatch + 1) * kPairs));
+    // One notify per productive pass, far below one per call (split
+    // drains can add a few).
+    uint64_t notifies = after.ringNotifies - before.ringNotifies;
+    EXPECT_LE(notifies, 2u * kBursts + 4)
+        << "notifies must track bursts, not calls";
 }
 
 TEST(RingSyscalls, BatchedStatSweepCoalescesNotifies)
@@ -894,7 +779,7 @@ TEST(RingSyscalls, PollReadinessRidesTheDeferralProtocol)
     // poll: one SQE names the whole descriptor set. Ready descriptors
     // complete in the drain pass; an all-blocked set parks against every
     // polled object's readiness watcher and the CQE is deferred until
-    // one fires. Doorbell coalescing keeps working across the park.
+    // one fires. The park costs no extra wakes.
     jsvm::TestClock clock;
     addProgram("poll-writer", [](rt::EmEnv &env) -> int {
         return env.write(0, std::string("x")) == 1 ? 0 : 1;
@@ -963,7 +848,7 @@ TEST(RingSyscalls, PollReadinessRidesTheDeferralProtocol)
     EXPECT_EQ(after.ringCqOverflows, 0u);
     // Each drained batch pays at most one notify; a deferred completion
     // pays exactly one of its own. More than that would mean the park
-    // broke the doorbell/drainPending coalescing.
+    // broke the one-notify-per-pass rule.
     EXPECT_LE(after.ringNotifies - before.ringNotifies,
               (after.ringBatchesDrained - before.ringBatchesDrained) +
                   (after.ringDeferredCompletions -
