@@ -1,5 +1,8 @@
 #include "apps/registry.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "jsvm/util.h"
 
 namespace browsix {
@@ -36,16 +39,22 @@ ProgramRegistry::bundleFor(const std::string &name) const
     if (!spec)
         jsvm::panic("ProgramRegistry: unknown program " + name);
     std::string header = kMarker + name + "\n";
-    bfs::Buffer out(header.begin(), header.end());
     // Pad to the bundle's size: worker creation charges a parse cost per
-    // byte, so a 8 MB browser-node bundle really costs startup time.
-    size_t target = spec->bundleKb * 1024;
-    if (out.size() < target) {
-        std::string pad = "// bundle payload\n";
-        while (out.size() < target) {
-            size_t n = std::min(pad.size(), target - out.size());
-            out.insert(out.end(), pad.begin(), pad.begin() + n);
-        }
+    // byte, so a 8 MB browser-node bundle really costs startup time. The
+    // payload line repeats from the header on, cut short at the end.
+    static const std::string kPad = "// bundle payload\n";
+    bfs::Buffer out(std::max(header.size(), spec->bundleKb * 1024));
+    std::memcpy(out.data(), header.data(), header.size());
+    uint8_t *payload = out.data() + header.size();
+    size_t total = out.size() - header.size();
+    size_t filled = std::min(kPad.size(), total);
+    std::memcpy(payload, kPad.data(), filled);
+    // Double the filled run: it is whole payload lines, so each copy
+    // continues the pattern.
+    while (filled < total) {
+        size_t n = std::min(filled, total - filled);
+        std::memcpy(payload + filled, payload, n);
+        filled += n;
     }
     return out;
 }

@@ -9,6 +9,10 @@
  * out to the real bundle's size — so worker boot pays a faithful
  * parse/JIT cost — and the worker bootstrap maps the name back to the
  * program's entry point and runtime kind.
+ *
+ * A bundle's bytes are staged once, into the file; a spawn shares that
+ * buffer with the blob and the worker (see bfs::BufferPtr), so the
+ * padding costs boot memory but no per-spawn host copy.
  */
 #pragma once
 
@@ -48,7 +52,8 @@ class ProgramRegistry
     void add(ProgramSpec spec);
     const ProgramSpec *find(const std::string &name) const;
 
-    /** Executable file bytes for a registered program. */
+    /** Executable file bytes for a registered program: the marker
+     * header, then "// bundle payload\n" repeated to bundleKb. */
     bfs::Buffer bundleFor(const std::string &name) const;
 
     /** Extract the program name from bundle bytes ("" if not a bundle). */

@@ -35,6 +35,12 @@ InMemBackend::Node::toStat() const
 /**
  * Positional I/O over an in-memory node. Holds the node alive; an unlinked
  * file stays readable through open descriptors (Unix semantics).
+ *
+ * A whole-file pread hands out the node's own buffer, so an executable's
+ * bytes reach the blob and the worker without a host copy. The mutators
+ * are therefore copy-on-write: while anyone else holds the buffer, they
+ * first give the node a private copy, and the holders keep the bytes they
+ * read.
  */
 class InMemBackend::MemOpenFile : public OpenFile
 {
@@ -44,13 +50,17 @@ class InMemBackend::MemOpenFile : public OpenFile
     void
     pread(uint64_t off, size_t len, DataCb cb) override
     {
+        node_->atimeUs = jsvm::nowUs();
         const Buffer &d = *node_->data;
+        if (off == 0 && len >= d.size()) {
+            cb(0, node_->data);
+            return;
+        }
         auto out = std::make_shared<Buffer>();
         if (off < d.size()) {
             size_t n = std::min<uint64_t>(len, d.size() - off);
             out->assign(d.begin() + off, d.begin() + off + n);
         }
-        node_->atimeUs = jsvm::nowUs();
         cb(0, std::move(out));
     }
 
@@ -71,17 +81,7 @@ class InMemBackend::MemOpenFile : public OpenFile
     void
     pwrite(uint64_t off, const uint8_t *data, size_t len, SizeCb cb) override
     {
-        if (off + len < off) { // end-offset wrap: never index with it
-            cb(EFBIG, 0);
-            return;
-        }
-        Buffer &d = *node_->data;
-        if (off + len > d.size())
-            d.resize(off + len, 0);
-        if (len > 0) // zero-length writes carry a null data pointer
-            std::memcpy(d.data() + off, data, len);
-        node_->mtimeUs = jsvm::nowUs();
-        cb(0, len);
+        pwriteFrom(off, ConstByteSpan{data, len}, std::move(cb));
     }
 
     void
@@ -94,10 +94,10 @@ class InMemBackend::MemOpenFile : public OpenFile
         // The source window (for syscalls: the guest heap) is consumed
         // directly into the resident node data — the single necessary
         // copy, with no intermediate Buffer on either side.
-        Buffer &d = *node_->data;
+        Buffer &d = ownData();
         if (off + src.len > d.size())
             d.resize(off + src.len, 0);
-        if (src.len > 0)
+        if (src.len > 0) // zero-length writes carry a null data pointer
             std::memcpy(d.data() + off, src.data, src.len);
         node_->mtimeUs = jsvm::nowUs();
         cb(0, src.len);
@@ -108,12 +108,27 @@ class InMemBackend::MemOpenFile : public OpenFile
     void
     ftruncate(uint64_t size, ErrCb cb) override
     {
-        node_->data->resize(size, 0);
+        ownData(size).resize(size, 0);
         node_->mtimeUs = jsvm::nowUs();
         cb(0);
     }
 
   private:
+    /**
+     * The node's buffer, writable: first replaced by a private copy (of
+     * at most its first `keep` bytes) while a reader or blob shares it.
+     */
+    Buffer &
+    ownData(uint64_t keep = UINT64_MAX)
+    {
+        std::shared_ptr<Buffer> &d = node_->data;
+        if (d.use_count() > 1) {
+            size_t n = std::min<uint64_t>(keep, d->size());
+            d = std::make_shared<Buffer>(d->begin(), d->begin() + n);
+        }
+        return *d;
+    }
+
     NodePtr node_;
 };
 
@@ -395,21 +410,16 @@ InMemBackend::writeFile(const std::string &path, const std::string &data)
 }
 
 int
-InMemBackend::writeFile(const std::string &path, const Buffer &data)
+InMemBackend::writeFile(const std::string &path, Buffer data)
 {
     int rc = mkdirAll(dirname(path));
     if (rc != 0)
         return rc;
     int result = 0;
     open(path, flags::CREAT | flags::TRUNC | flags::WRONLY, 0644,
-         [&](int err, OpenFilePtr f) {
-             if (err) {
-                 result = err;
-                 return;
-             }
-             f->pwrite(0, data.data(), data.size(),
-                       [&](int werr, size_t) { result = werr; });
-         });
+         [&](int err, OpenFilePtr) { result = err; });
+    if (result == 0)
+        lookup(path)->data = std::make_shared<Buffer>(std::move(data));
     return result;
 }
 

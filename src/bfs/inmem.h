@@ -43,9 +43,11 @@ class InMemBackend : public Backend
 
     /** Create all missing directories along path. */
     int mkdirAll(const std::string &path);
-    /** Write a whole file, creating parents as needed. */
+    /** Write a whole file, creating parents as needed. A Buffer becomes
+     * the file's buffer (moved in, not copied, when the caller passes
+     * an rvalue). */
     int writeFile(const std::string &path, const std::string &data);
-    int writeFile(const std::string &path, const Buffer &data);
+    int writeFile(const std::string &path, Buffer data);
     /** Read a whole file. */
     int readFile(const std::string &path, Buffer &out) const;
 
@@ -61,7 +63,9 @@ class InMemBackend : public Backend
         int64_t atimeUs = 0;
         int64_t mtimeUs = 0;
         int64_t ctimeUs = 0;
-        BufferPtr data;                       // Regular
+        /// Regular. The one mutable owner of the file's bytes; whole-file
+        /// preads share it, so writers copy it first while it is shared.
+        std::shared_ptr<Buffer> data;
         std::map<std::string, NodePtr> children; // Directory
         std::string linkTarget;               // Symlink
 

@@ -44,7 +44,13 @@ struct DirEntry
 };
 
 using Buffer = std::vector<uint8_t>;
-using BufferPtr = std::shared_ptr<Buffer>;
+/**
+ * Bytes handed between layers: shared and immutable. A whole-file
+ * in-memory read hands out the file's own buffer through one of these
+ * (the file copies on its next write), so the same bytes can flow on to
+ * a blob and a worker without a host copy.
+ */
+using BufferPtr = std::shared_ptr<const Buffer>;
 
 /**
  * A caller-owned destination window for zero-copy reads (preadInto): the

@@ -35,8 +35,7 @@ makeBootstrapper()
         }
 
         // Compiled-JS bundle: resolve the program and its runtime.
-        std::string name = apps::ProgramRegistry::programFromBundle(
-            bfs::Buffer(code->begin(), code->end()));
+        std::string name = apps::ProgramRegistry::programFromBundle(*code);
         const apps::ProgramSpec *spec =
             apps::ProgramRegistry::instance().find(name);
         if (!spec) {

@@ -4,12 +4,11 @@ namespace browsix {
 namespace jsvm {
 
 std::string
-BlobRegistry::createObjectUrl(std::vector<uint8_t> bytes)
+BlobRegistry::createObjectUrl(Data bytes)
 {
     std::lock_guard<std::mutex> lk(mutex_);
     std::string url = "blob:browsix/" + std::to_string(nextId_++);
-    blobs_[url] =
-        std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
+    blobs_[url] = std::move(bytes);
     return url;
 }
 

@@ -206,7 +206,8 @@ Kernel::doSpawn(Task *parent, std::vector<std::string> argv,
                 cb(pid);
                 return;
             }
-            std::string url = browser_.blobs().createObjectUrl(*code);
+            std::string url =
+                browser_.blobs().createObjectUrl(std::move(code));
             auto worker = browser_.createWorker(url, bootstrapper_);
 
             auto t = std::make_unique<Task>();
@@ -277,7 +278,8 @@ Kernel::doExec(Task &t, std::vector<std::string> argv,
             if (!t->blobUrl.empty())
                 browser_.blobs().revokeObjectUrl(t->blobUrl);
 
-            std::string url = browser_.blobs().createObjectUrl(*code);
+            std::string url =
+                browser_.blobs().createObjectUrl(std::move(code));
             auto worker = browser_.createWorker(url, bootstrapper_);
             t->worker = worker;
             t->blobUrl = url;
@@ -330,9 +332,11 @@ Kernel::doFork(Task &parent, jsvm::Value snapshot)
         ++*parent.nproc;
     // Workers cannot be cloned (§3.3): boot a fresh worker from the same
     // executable and hand it the serialized memory + program counter.
-    // The child gets its own blob URL: revocation at its exit/exec must
-    // not strand the parent's executable.
-    std::string child_url = browser_.blobs().createObjectUrl(*code);
+    // The child gets its own blob URL over the parent's bytes (shared,
+    // not copied): revocation at its exit/exec must not strand the
+    // parent's executable.
+    std::string child_url =
+        browser_.blobs().createObjectUrl(std::move(code));
     auto worker = browser_.createWorker(child_url, bootstrapper_);
 
     auto t = std::make_unique<Task>();

@@ -305,7 +305,8 @@ class Kernel
     void dispatchSyscall(Task &t, SyscallCtxPtr ctx);
     void replyTo(Task &t, const jsvm::Value &msg);
 
-    /** Resolve shebangs: yields final executable bytes + argv. */
+    /** Resolve shebangs: yields the final executable's bytes (its
+     * file's own buffer, shared, not copied) + argv. */
     void resolveExecutable(std::vector<std::string> argv,
                            const std::string &cwd, int depth,
                            std::function<void(int err, bfs::BufferPtr,

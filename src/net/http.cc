@@ -338,8 +338,15 @@ HttpParser::reset()
     chunkRemaining_ = 0;
     headerBytes_ = 0;
     chunked_ = false;
+    // Keep the body's allocation: a keep-alive connection parses message
+    // after message, and a large body would otherwise be reallocated,
+    // and its pages faulted in again, for every one.
+    auto &body = mode_ == Mode::Request ? req_.body : resp_.body;
+    std::vector<uint8_t> kept = std::move(body);
+    kept.clear();
     req_ = HttpRequest{};
     resp_ = HttpResponse{};
+    body = std::move(kept);
     buf_.clear();
     // Pipelined bytes begin the next message — re-parse them now, so a
     // complete back-to-back message is done() without waiting for more

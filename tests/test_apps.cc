@@ -435,6 +435,27 @@ TEST(Registry, BundleRoundtripAndPadding)
     EXPECT_EQ(ProgramRegistry::programFromBundle({1, 2, 3}), "");
 }
 
+TEST(Registry, BundleIsHeaderThenRepeatingPayloadToItsSize)
+{
+    registerAllPrograms();
+    auto &reg = ProgramRegistry::instance();
+    const std::string pad = "// bundle payload\n";
+    for (const char *name : {"node", "dash", "meme-server"}) {
+        SCOPED_TRACE(name);
+        const std::string header =
+            std::string("//:browsix-program:") + name + "\n";
+        bfs::Buffer bundle = reg.bundleFor(name);
+        ASSERT_EQ(bundle.size(), reg.find(name)->bundleKb * 1024);
+        ASSERT_EQ(std::string(bundle.begin(), bundle.begin() + header.size()),
+                  header);
+        size_t bad = 0;
+        for (size_t i = header.size(); i < bundle.size(); i++)
+            bad += bundle[i] != static_cast<uint8_t>(
+                                    pad[(i - header.size()) % pad.size()]);
+        EXPECT_EQ(bad, 0u);
+    }
+}
+
 TEST(Registry, NodeBundleIsTheLargest)
 {
     registerAllPrograms();

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <map>
 #include <random>
 
@@ -236,6 +237,107 @@ TEST(InMem, PwriteExtendsWithZeros)
     std::string got;
     readWhole(fs, "/f", got);
     EXPECT_EQ(got, std::string("ab\0\0\0z", 6));
+}
+
+namespace {
+
+OpenFilePtr
+openRw(Backend &b, const std::string &path)
+{
+    OpenFilePtr out;
+    b.open(path, flags::RDWR, 0, [&](int err, OpenFilePtr f) {
+        EXPECT_EQ(err, 0);
+        out = f;
+    });
+    return out;
+}
+
+BufferPtr
+preadOf(OpenFile &f, uint64_t off, size_t len)
+{
+    BufferPtr out;
+    f.pread(off, len, [&](int err, BufferPtr data) {
+        EXPECT_EQ(err, 0);
+        out = data;
+    });
+    return out;
+}
+
+std::string
+str(const Buffer &b)
+{
+    return std::string(b.begin(), b.end());
+}
+
+} // namespace
+
+TEST(InMem, WholeFilePreadSharesTheFileBufferPartialCopies)
+{
+    InMemBackend fs;
+    writeWhole(fs, "/f", "abcdef");
+    OpenFilePtr f = openRw(fs, "/f");
+    BufferPtr whole = preadOf(*f, 0, 6);
+    EXPECT_EQ(str(*whole), "abcdef");
+    EXPECT_EQ(preadOf(*f, 0, 4096).get(), whole.get())
+        << "a read past EOF from offset 0 is still the whole file";
+    BufferPtr head = preadOf(*f, 0, 3);
+    BufferPtr tail = preadOf(*f, 2, 4096);
+    EXPECT_NE(head.get(), whole.get());
+    EXPECT_NE(tail.get(), whole.get());
+    EXPECT_EQ(str(*head), "abc");
+    EXPECT_EQ(str(*tail), "cdef");
+}
+
+TEST(InMem, EveryMutatorCopiesASharedBufferFirst)
+{
+    struct Case
+    {
+        const char *name;
+        std::function<void(OpenFile &)> mutate;
+        std::string after;
+    };
+    const uint8_t xy[] = {'X', 'Y'};
+    std::vector<Case> cases = {
+        {"pwrite",
+         [&](OpenFile &f) { f.pwrite(1, xy, 2, [](int, size_t) {}); },
+         "aXYdef"},
+        {"pwriteFrom",
+         [&](OpenFile &f) {
+             f.pwriteFrom(4, ConstByteSpan{xy, 2}, [](int, size_t) {});
+         },
+         "abcdXY"},
+        {"ftruncate", [](OpenFile &f) { f.ftruncate(2, [](int) {}); },
+         "ab"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        InMemBackend fs;
+        writeWhole(fs, "/f", "abcdef");
+        OpenFilePtr f = openRw(fs, "/f");
+        BufferPtr before = preadOf(*f, 0, 4096);
+        c.mutate(*f);
+        EXPECT_EQ(str(*before), "abcdef")
+            << "a reader's whole-file buffer must never change under it";
+        std::string got;
+        readWhole(fs, "/f", got);
+        EXPECT_EQ(got, c.after);
+        EXPECT_NE(preadOf(*f, 0, 4096).get(), before.get());
+    }
+}
+
+TEST(InMem, UnsharedWritesStayInPlace)
+{
+    // Copy-on-write copies only while someone holds the buffer.
+    InMemBackend fs;
+    writeWhole(fs, "/f", "abcdef");
+    OpenFilePtr f = openRw(fs, "/f");
+    const Buffer *buf = preadOf(*f, 0, 4096).get(); // reference dropped
+    const uint8_t z = 'Z';
+    f->pwrite(0, &z, 1, [](int, size_t) {});
+    f->ftruncate(3, [](int) {});
+    BufferPtr now = preadOf(*f, 0, 4096);
+    EXPECT_EQ(now.get(), buf);
+    EXPECT_EQ(str(*now), "Zbc");
 }
 
 TEST(InMem, MkdirRmdirSemantics)

@@ -143,6 +143,24 @@ TEST(HttpParser, PipelinedBytesLandInTrailing)
     EXPECT_EQ(p.request().target, "/b");
 }
 
+TEST(HttpParser, ResetKeepsTheBodyAllocationForTheNextMessage)
+{
+    // A keep-alive client parses response after response; the next
+    // body reuses the last one's allocation instead of regrowing it.
+    HttpParser p(HttpParser::Mode::Response);
+    std::string big(300 * 1024, 'a');
+    std::string msg = "HTTP/1.1 200 OK\r\ncontent-length: " +
+                      std::to_string(big.size()) + "\r\n\r\n" + big;
+    ASSERT_TRUE(p.feed(bytes(msg)));
+    ASSERT_TRUE(p.done());
+    p.reset();
+    EXPECT_TRUE(p.response().body.empty());
+    EXPECT_GE(p.response().body.capacity(), big.size());
+    ASSERT_TRUE(p.feed(bytes(msg)));
+    ASSERT_TRUE(p.done());
+    EXPECT_EQ(p.response().body.size(), big.size());
+}
+
 TEST(HttpParser, MalformedStartLineFails)
 {
     HttpParser p(HttpParser::Mode::Response);

@@ -362,10 +362,20 @@ TEST(Atomics, NotifyCountLimitsWakes)
 
 // ---------- Blob registry ----------
 
+namespace {
+
+BlobRegistry::Data
+blobBytes(std::vector<uint8_t> bytes)
+{
+    return std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
+}
+
+} // namespace
+
 TEST(Blob, CreateResolveRevoke)
 {
     BlobRegistry blobs;
-    std::string url = blobs.createObjectUrl({1, 2, 3});
+    std::string url = blobs.createObjectUrl(blobBytes({1, 2, 3}));
     EXPECT_EQ(url.rfind("blob:", 0), 0u);
     auto data = blobs.resolve(url);
     ASSERT_NE(data, nullptr);
@@ -377,7 +387,22 @@ TEST(Blob, CreateResolveRevoke)
 TEST(Blob, UrlsAreUnique)
 {
     BlobRegistry blobs;
-    EXPECT_NE(blobs.createObjectUrl({1}), blobs.createObjectUrl({1}));
+    EXPECT_NE(blobs.createObjectUrl(blobBytes({1})),
+              blobs.createObjectUrl(blobBytes({1})));
+}
+
+TEST(Blob, HoldsTheCallersBytesWithoutCopying)
+{
+    // A browser Blob is an immutable snapshot, not a copy per worker:
+    // every URL over one buffer resolves to that buffer.
+    BlobRegistry blobs;
+    auto bytes = blobBytes({7, 8, 9});
+    std::string a = blobs.createObjectUrl(bytes);
+    std::string b = blobs.createObjectUrl(bytes);
+    EXPECT_EQ(blobs.resolve(a).get(), bytes.get());
+    EXPECT_EQ(blobs.resolve(b).get(), bytes.get());
+    blobs.revokeObjectUrl(a);
+    EXPECT_EQ(blobs.resolve(b).get(), bytes.get());
 }
 
 // ---------- Worker ----------
@@ -385,7 +410,7 @@ TEST(Blob, UrlsAreUnique)
 TEST(Worker, EchoRoundtrip)
 {
     Browser browser;
-    std::string url = browser.blobs().createObjectUrl({'x'});
+    std::string url = browser.blobs().createObjectUrl(blobBytes({'x'}));
     auto w = browser.createWorker(url, [](WorkerScope &scope, auto) {
         scope.setOnMessage([&scope](Value v) {
             Value reply = Value::object();
@@ -406,7 +431,7 @@ TEST(Worker, EchoRoundtrip)
 TEST(Worker, MessagesAreCopiedNotShared)
 {
     Browser browser;
-    std::string url = browser.blobs().createObjectUrl({'x'});
+    std::string url = browser.blobs().createObjectUrl(blobBytes({'x'}));
     auto payload = std::make_shared<std::vector<uint8_t>>(
         std::vector<uint8_t>{1, 2, 3});
     std::atomic<int> first_byte{-1};
@@ -435,7 +460,7 @@ TEST(Worker, TerminateInterruptsAtomicsWait)
     std::atomic<bool> interrupted{false};
     std::atomic<bool> unwound{false};
     Browser browser;
-    std::string url = browser.blobs().createObjectUrl({'x'});
+    std::string url = browser.blobs().createObjectUrl(blobBytes({'x'}));
     auto sab = std::make_shared<SharedArrayBuffer>(16);
     auto w = browser.createWorker(url, [&](WorkerScope &scope, auto) {
         scope.startGuest([&scope, sab, &waiting, &interrupted]() {
@@ -467,7 +492,7 @@ TEST(Worker, TerminateInterruptsAtomicsWait)
 TEST(Worker, SharedMemoryIsVisibleAcrossContexts)
 {
     Browser browser;
-    std::string url = browser.blobs().createObjectUrl({'x'});
+    std::string url = browser.blobs().createObjectUrl(blobBytes({'x'}));
     auto sab = std::make_shared<SharedArrayBuffer>(16);
     auto w = browser.createWorker(url, [](WorkerScope &scope, auto) {
         scope.setOnMessage([&scope](Value v) {
@@ -491,7 +516,7 @@ TEST(Worker, SharedMemoryIsVisibleAcrossContexts)
 TEST(Worker, TerminatedWorkerDropsMessages)
 {
     Browser browser;
-    std::string url = browser.blobs().createObjectUrl({'x'});
+    std::string url = browser.blobs().createObjectUrl(blobBytes({'x'}));
     std::atomic<int> received{0};
     auto w = browser.createWorker(url, [&](WorkerScope &scope, auto) {
         scope.setOnMessage([&](Value) { received++; });

@@ -484,6 +484,96 @@ TEST(EmscriptenModes, VmForkThroughKernelMatchesUnitSemantics)
     EXPECT_EQ(r1.out, r2.out);
 }
 
+// ---------- Spawn: one executable buffer ----------
+
+namespace {
+
+/** Spawn argv as a root process (inline: the root fs never defers). */
+int
+spawnInline(Browsix &bx, std::vector<std::string> argv, std::string &out,
+            int &status, bool &exited)
+{
+    int pid = -1;
+    bx.kernel().spawnRoot(
+        std::move(argv), bx.kernel().defaultEnv, "/",
+        [&](int st) {
+            status = st;
+            exited = true;
+        },
+        [&](const bfs::Buffer &d) { out.append(d.begin(), d.end()); },
+        [](const bfs::Buffer &) {}, [&](int p) { pid = p; });
+    return pid;
+}
+
+jsvm::BlobRegistry::Data
+blobOf(Browsix &bx, int pid)
+{
+    kernel::Task *t = bx.kernel().task(pid);
+    return t ? bx.browser().blobs().resolve(t->blobUrl) : nullptr;
+}
+
+} // namespace
+
+TEST(Spawn, LiveProcessesShareTheInterpretersFileBuffer)
+{
+    // §3.3's file -> Blob -> Worker path moves no executable bytes: both
+    // `cat`s (#!/usr/bin/node scripts) boot from the very buffer that
+    // holds /usr/bin/node in the filesystem.
+    Browsix bx;
+    bfs::BufferPtr node;
+    bx.fs().readFile("/usr/bin/node", [&](int err, bfs::BufferPtr data) {
+        EXPECT_EQ(err, 0);
+        node = data;
+    });
+    ASSERT_NE(node, nullptr);
+    std::string out[2];
+    int status[2] = {-1, -1};
+    bool exited[2] = {false, false};
+    for (int i = 0; i < 2; i++) {
+        int pid = spawnInline(bx, {"/usr/bin/cat"}, out[i], status[i],
+                              exited[i]);
+        ASSERT_GT(pid, 0);
+        EXPECT_EQ(blobOf(bx, pid).get(), node.get()) << "process " << i;
+    }
+    ASSERT_TRUE(bx.runUntil([&]() { return exited[0] && exited[1]; }));
+    EXPECT_EQ(sys::wexitstatus(status[0]), 0);
+    EXPECT_EQ(sys::wexitstatus(status[1]), 0);
+}
+
+TEST(Spawn, RewritingAnExecutableSparesRunningTasksAndTheirForks)
+{
+    // Rewrite /usr/bin/forktest in place after spawning it, before the
+    // kernel has handled any of its syscalls: the task's blob keeps the
+    // bytes it was spawned from, and its fork boots them too.
+    Browsix bx;
+    std::string out;
+    int status = -1;
+    bool exited = false;
+    int pid = spawnInline(bx, {"/usr/bin/forktest"}, out, status, exited);
+    ASSERT_GT(pid, 0);
+    jsvm::BlobRegistry::Data blob = blobOf(bx, pid);
+    ASSERT_NE(blob, nullptr);
+    const bfs::Buffer original = *blob;
+
+    const bfs::Buffer junk(original.size(), 0xEE);
+    bx.fs().open("/usr/bin/forktest", bfs::flags::RDWR, 0,
+                 [&](int err, bfs::OpenFilePtr f) {
+                     ASSERT_EQ(err, 0);
+                     f->pwrite(0, junk.data(), junk.size(),
+                               [](int werr, size_t) { EXPECT_EQ(werr, 0); });
+                 });
+    bfs::Buffer now;
+    ASSERT_EQ(bx.fs().readFileSync("/usr/bin/forktest", now), 0);
+    EXPECT_EQ(now, junk);
+    EXPECT_EQ(blobOf(bx, pid), blob);
+    EXPECT_EQ(*blob, original);
+
+    ASSERT_TRUE(bx.runUntil([&]() { return exited; }));
+    EXPECT_EQ(sys::wexitstatus(status), 0);
+    EXPECT_EQ(out, "hello from child\nhello from parent\n")
+        << "the forked child must boot the original image";
+}
+
 TEST(EmscriptenModes, PrimesComputesCorrectly)
 {
     Browsix bx;

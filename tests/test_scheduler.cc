@@ -227,7 +227,8 @@ TEST(Scheduler, TimerParkedWorkerRewakesThroughTheDedupedWakePath)
     // threads, which the Browser's default pool always has.
     jsvm::Browser browser;
     ASSERT_GE(browser.scheduler().poolSize(), 2u);
-    std::string url = browser.blobs().createObjectUrl({'x'});
+    std::string url = browser.blobs().createObjectUrl(
+        std::make_shared<const std::vector<uint8_t>>(1, 'x'));
     auto sab = std::make_shared<jsvm::SharedArrayBuffer>(16);
     std::atomic<int> rounds{0};
     std::atomic<int> timer_fired{0};
