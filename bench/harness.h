@@ -337,8 +337,12 @@ class NodeDirectApi : public rt::NodeApi,
     {
         auto it = files_.find(fd);
         if (it == files_.end()) {
+            // fd 1 and 2 are stdio, as in Node (utilities write bytes there).
+            std::string *sink = fd == 1 ? &out : fd == 2 ? &errOut : nullptr;
+            if (sink)
+                sink->append(data.begin(), data.end());
             if (cb)
-                cb(-EBADF);
+                cb(sink ? static_cast<int64_t>(data.size()) : -EBADF);
             return;
         }
         OpenState &st = it->second;

@@ -1,12 +1,15 @@
 #include "apps/coreutils/coreutils.h"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <regex>
 #include <sstream>
+#include <string_view>
 
 #include "apps/coreutils/sha1.h"
 #include "bfs/path.h"
+#include "jsvm/util.h"
 #include "net/http.h"
 #include "runtime/node/node_runtime.h"
 
@@ -46,17 +49,16 @@ void
 slurpStdin(const Api &api, std::function<void(bfs::Buffer)> cb)
 {
     auto acc = std::make_shared<bfs::Buffer>();
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [api, acc, step, cb]() {
-        api->stdinRead([api, acc, step, cb](int err, bfs::Buffer data) {
+    auto step = jsvm::AsyncLoop<>::make([api, acc, cb](const auto &step) {
+        api->stdinRead([acc, step, cb](int err, bfs::Buffer data) {
             if (err || data.empty()) {
                 cb(std::move(*acc));
                 return;
             }
-            acc->insert(acc->end(), data.begin(), data.end());
+            bfs::append(*acc, std::move(data));
             (*step)();
         });
-    };
+    });
     (*step)();
 }
 
@@ -72,47 +74,60 @@ readInputs(const Api &api, std::vector<std::string> files,
     }
     auto acc = std::make_shared<bfs::Buffer>();
     auto list = std::make_shared<std::vector<std::string>>(std::move(files));
-    auto step = std::make_shared<std::function<void(size_t)>>();
-    *step = [api, acc, list, step, cb](size_t i) {
-        if (i >= list->size()) {
-            cb(0, "", std::move(*acc));
-            return;
-        }
-        if ((*list)[i] == "-") {
-            slurpStdin(api, [acc, step, i](bfs::Buffer data) {
-                acc->insert(acc->end(), data.begin(), data.end());
+    auto step = jsvm::AsyncLoop<size_t>::make(
+        [api, acc, list, cb](const auto &step, size_t i) {
+            if (i >= list->size()) {
+                cb(0, "", std::move(*acc));
+                return;
+            }
+            if ((*list)[i] == "-") {
+                slurpStdin(api, [acc, step, i](bfs::Buffer data) {
+                    bfs::append(*acc, std::move(data));
+                    (*step)(i + 1);
+                });
+                return;
+            }
+            api->readFile((*list)[i], [acc, list, step, i,
+                                       cb](int err, bfs::Buffer data) {
+                if (err) {
+                    cb(err, (*list)[i], {});
+                    return;
+                }
+                bfs::append(*acc, std::move(data));
                 (*step)(i + 1);
             });
-            return;
-        }
-        api->readFile((*list)[i],
-                      [acc, list, step, i, cb](int err, bfs::Buffer data) {
-                          if (err) {
-                              cb(err, (*list)[i], {});
-                              return;
-                          }
-                          acc->insert(acc->end(), data.begin(), data.end());
-                          (*step)(i + 1);
-                      });
-    };
+        });
     (*step)(0);
+}
+
+/**
+ * Call fn(line) for each line of data, in place and without its '\n'.
+ * A last line with no trailing newline counts; the empty tail after a
+ * final newline does not.
+ */
+template <typename Fn>
+void
+forEachLine(const bfs::Buffer &data, Fn &&fn)
+{
+    const uint8_t *p = data.data();
+    const uint8_t *end = p + data.size();
+    while (p < end) {
+        auto *nl = static_cast<const uint8_t *>(
+            std::memchr(p, '\n', static_cast<size_t>(end - p)));
+        const uint8_t *eol = nl ? nl : end;
+        fn(p, eol);
+        p = nl ? nl + 1 : end;
+    }
 }
 
 std::vector<std::string>
 splitLines(const bfs::Buffer &data)
 {
     std::vector<std::string> lines;
-    std::string cur;
-    for (uint8_t b : data) {
-        if (b == '\n') {
-            lines.push_back(cur);
-            cur.clear();
-        } else {
-            cur.push_back(static_cast<char>(b));
-        }
-    }
-    if (!cur.empty())
-        lines.push_back(cur);
+    forEachLine(data, [&lines](const uint8_t *b, const uint8_t *e) {
+        lines.emplace_back(reinterpret_cast<const char *>(b),
+                           static_cast<size_t>(e - b));
+    });
     return lines;
 }
 
@@ -120,6 +135,12 @@ void
 writeAndExit(const Api &api, const std::string &out, int code = 0)
 {
     api->stdoutWrite(out, [api, code](int) { api->exit(code); });
+}
+
+void
+writeAndExit(const Api &api, bfs::Buffer out, int code = 0)
+{
+    api->write(1, std::move(out), [api, code](int64_t) { api->exit(code); });
 }
 
 // ---------- the utilities ----------
@@ -133,8 +154,7 @@ utilCat(Api api)
                        fail(api, f + ": No such file or directory");
                        return;
                    }
-                   writeAndExit(api,
-                                std::string(data.begin(), data.end()));
+                   writeAndExit(api, std::move(data));
                });
 }
 
@@ -233,24 +253,24 @@ utilRm(Api api)
         fail(api, "missing operand");
         return;
     }
-    auto step = std::make_shared<std::function<void(size_t)>>();
     auto list = std::make_shared<std::vector<std::string>>(std::move(args));
     bool force = !list->empty() && (*list)[0] == "-f";
     size_t start = force ? 1 : 0;
-    *step = [api, list, step, force](size_t i) {
-        if (i >= list->size()) {
-            api->exit(0);
-            return;
-        }
-        api->unlink((*list)[i], [api, list, step, i, force](int err) {
-            if (err && !force) {
-                fail(api, (*list)[i] +
-                              ": cannot remove: No such file or directory");
+    auto step = jsvm::AsyncLoop<size_t>::make(
+        [api, list, force](const auto &step, size_t i) {
+            if (i >= list->size()) {
+                api->exit(0);
                 return;
             }
-            (*step)(i + 1);
+            api->unlink((*list)[i], [api, list, step, i, force](int err) {
+                if (err && !force) {
+                    fail(api, (*list)[i] + ": cannot remove: No such file "
+                                           "or directory");
+                    return;
+                }
+                (*step)(i + 1);
+            });
         });
-    };
     (*step)(start);
 }
 
@@ -263,20 +283,21 @@ utilMkdir(Api api)
         return;
     }
     auto list = std::make_shared<std::vector<std::string>>(std::move(args));
-    auto step = std::make_shared<std::function<void(size_t)>>();
-    *step = [api, list, step](size_t i) {
-        if (i >= list->size()) {
-            api->exit(0);
-            return;
-        }
-        api->mkdir((*list)[i], [api, list, step, i](int err) {
-            if (err) {
-                fail(api, "cannot create directory '" + (*list)[i] + "'");
+    auto step = jsvm::AsyncLoop<size_t>::make(
+        [api, list](const auto &step, size_t i) {
+            if (i >= list->size()) {
+                api->exit(0);
                 return;
             }
-            (*step)(i + 1);
+            api->mkdir((*list)[i], [api, list, step, i](int err) {
+                if (err) {
+                    fail(api,
+                         "cannot create directory '" + (*list)[i] + "'");
+                    return;
+                }
+                (*step)(i + 1);
+            });
         });
-    };
     (*step)(0);
 }
 
@@ -289,20 +310,20 @@ utilRmdir(Api api)
         return;
     }
     auto list = std::make_shared<std::vector<std::string>>(std::move(args));
-    auto step = std::make_shared<std::function<void(size_t)>>();
-    *step = [api, list, step](size_t i) {
-        if (i >= list->size()) {
-            api->exit(0);
-            return;
-        }
-        api->rmdir((*list)[i], [api, list, step, i](int err) {
-            if (err) {
-                fail(api, "failed to remove '" + (*list)[i] + "'");
+    auto step = jsvm::AsyncLoop<size_t>::make(
+        [api, list](const auto &step, size_t i) {
+            if (i >= list->size()) {
+                api->exit(0);
                 return;
             }
-            (*step)(i + 1);
+            api->rmdir((*list)[i], [api, list, step, i](int err) {
+                if (err) {
+                    fail(api, "failed to remove '" + (*list)[i] + "'");
+                    return;
+                }
+                (*step)(i + 1);
+            });
         });
-    };
     (*step)(0);
 }
 
@@ -315,29 +336,29 @@ utilTouch(Api api)
         return;
     }
     auto list = std::make_shared<std::vector<std::string>>(std::move(args));
-    auto step = std::make_shared<std::function<void(size_t)>>();
-    *step = [api, list, step](size_t i) {
-        if (i >= list->size()) {
-            api->exit(0);
-            return;
-        }
-        const std::string &path = (*list)[i];
-        api->stat(path, [api, list, step, i, path](int err, sys::StatX) {
-            if (err) {
-                api->writeFile(path, {}, [api, list, step, i](int werr) {
-                    if (werr) {
-                        fail(api, "cannot touch '" + (*list)[i] + "'");
-                        return;
-                    }
-                    (*step)(i + 1);
-                });
+    auto step = jsvm::AsyncLoop<size_t>::make(
+        [api, list](const auto &step, size_t i) {
+            if (i >= list->size()) {
+                api->exit(0);
                 return;
             }
-            int64_t now = api->nowMs() * 1000;
-            api->utimes(path, now, now,
-                        [step, i](int) { (*step)(i + 1); });
+            const std::string &path = (*list)[i];
+            api->stat(path, [api, list, step, i, path](int err, sys::StatX) {
+                if (err) {
+                    api->writeFile(path, {}, [api, list, step, i](int werr) {
+                        if (werr) {
+                            fail(api, "cannot touch '" + (*list)[i] + "'");
+                            return;
+                        }
+                        (*step)(i + 1);
+                    });
+                    return;
+                }
+                int64_t now = api->nowMs() * 1000;
+                api->utimes(path, now, now,
+                            [step, i](int) { (*step)(i + 1); });
+            });
         });
-    };
     (*step)(0);
 }
 
@@ -472,37 +493,47 @@ utilGrep(Api api)
     std::string pattern = rest[0];
     rest.erase(rest.begin());
 
-    auto matcher = std::make_shared<std::function<bool(const std::string &)>>();
-    try {
-        auto re = std::make_shared<std::regex>(pattern);
-        *matcher = [re](const std::string &line) {
-            return std::regex_search(line, *re);
+    // The matcher rule: a pattern with none of ECMAScript's syntax
+    // characters is a literal and is found by substring search (GNU
+    // grep's literal fast path); any other pattern is compiled once with
+    // std::regex, and one std::regex cannot parse is searched for
+    // literally. Either way each line is matched in place in the input
+    // buffer and a matching line is appended straight from it, so the
+    // output is the same bytes std::regex alone would select.
+    std::function<bool(std::string_view)> matches =
+        [pattern](std::string_view line) {
+            return line.find(pattern) != std::string_view::npos;
         };
-    } catch (std::regex_error &) {
-        *matcher = [pattern](const std::string &line) {
-            return line.find(pattern) != std::string::npos;
-        };
+    if (pattern.find_first_of("^$\\.*+?()[]{}|") != std::string::npos) {
+        try {
+            auto re = std::make_shared<const std::regex>(pattern);
+            matches = [re](std::string_view line) {
+                return std::regex_search(line.data(),
+                                         line.data() + line.size(), *re);
+            };
+        } catch (std::regex_error &) {
+        }
     }
 
     readInputs(api, rest,
-               [api, matcher, invert](int err, std::string f,
+               [api, matches, invert](int err, std::string f,
                                       bfs::Buffer data) {
                    if (err) {
                        fail(api, f + ": No such file or directory", 2);
                        return;
                    }
-                   std::string out;
+                   bfs::Buffer out;
                    size_t hits = 0;
-                   for (const auto &line : splitLines(data)) {
-                       bool m = (*matcher)(line);
-                       if (m != invert) {
-                           out += line + "\n";
+                   forEachLine(data, [&](const uint8_t *b, const uint8_t *e) {
+                       std::string_view line(reinterpret_cast<const char *>(b),
+                                             static_cast<size_t>(e - b));
+                       if (matches(line) != invert) {
+                           out.insert(out.end(), b, e);
+                           out.push_back('\n');
                            hits++;
                        }
-                   }
-                   int code = hits > 0 ? 0 : 1;
-                   api->stdoutWrite(out,
-                                    [api, code](int) { api->exit(code); });
+                   });
+                   writeAndExit(api, std::move(out), hits > 0 ? 0 : 1);
                });
 }
 
@@ -511,18 +542,17 @@ utilTee(Api api)
 {
     auto files = operands(api);
     slurpStdin(api, [api, files](bfs::Buffer data) {
-        auto step = std::make_shared<std::function<void(size_t)>>();
         auto list = std::make_shared<std::vector<std::string>>(files);
         auto payload = std::make_shared<bfs::Buffer>(std::move(data));
-        *step = [api, list, step, payload](size_t i) {
-            if (i >= list->size()) {
-                writeAndExit(api, std::string(payload->begin(),
-                                              payload->end()));
-                return;
-            }
-            api->writeFile((*list)[i], *payload,
-                           [step, i](int) { (*step)(i + 1); });
-        };
+        auto step = jsvm::AsyncLoop<size_t>::make(
+            [api, list, payload](const auto &step, size_t i) {
+                if (i >= list->size()) {
+                    writeAndExit(api, std::move(*payload));
+                    return;
+                }
+                api->writeFile((*list)[i], *payload,
+                               [step, i](int) { (*step)(i + 1); });
+            });
         (*step)(0);
     });
 }
@@ -569,27 +599,28 @@ utilLs(Api api)
         auto list = std::make_shared<std::vector<std::string>>(
             std::move(names));
         auto out = std::make_shared<std::string>();
-        auto step = std::make_shared<std::function<void(size_t)>>();
-        *step = [api, path, list, out, step](size_t i) {
-            if (i >= list->size()) {
-                writeAndExit(api, *out);
-                return;
-            }
-            std::string full = bfs::joinPath(path, (*list)[i]);
-            api->lstat(full, [api, list, out, step, i](int serr,
-                                                       sys::StatX st) {
-                std::ostringstream os;
-                if (serr) {
-                    os << "?????????? " << (*list)[i] << "\n";
-                } else {
-                    os << (st.isDir() ? 'd' : st.isSymlink() ? 'l' : '-')
-                       << "rw-r--r-- " << st.nlink << " " << st.size
-                       << " " << (*list)[i] << "\n";
+        auto step = jsvm::AsyncLoop<size_t>::make(
+            [api, path, list, out](const auto &step, size_t i) {
+                if (i >= list->size()) {
+                    writeAndExit(api, *out);
+                    return;
                 }
-                *out += os.str();
-                (*step)(i + 1);
+                std::string full = bfs::joinPath(path, (*list)[i]);
+                api->lstat(full, [list, out, step, i](int serr,
+                                                      sys::StatX st) {
+                    std::ostringstream os;
+                    if (serr) {
+                        os << "?????????? " << (*list)[i] << "\n";
+                    } else {
+                        os << (st.isDir() ? 'd'
+                               : st.isSymlink() ? 'l' : '-')
+                           << "rw-r--r-- " << st.nlink << " " << st.size
+                           << " " << (*list)[i] << "\n";
+                    }
+                    *out += os.str();
+                    (*step)(i + 1);
+                });
             });
-        };
         (*step)(0);
     });
 }
@@ -722,8 +753,8 @@ utilCurl(Api api)
                    [api, fd](int64_t) {
             auto parser = std::make_shared<net::HttpParser>(
                 net::HttpParser::Mode::Response);
-            auto step = std::make_shared<std::function<void()>>();
-            *step = [api, fd, parser, step]() {
+            auto step = jsvm::AsyncLoop<>::make([api, fd,
+                                                 parser](const auto &step) {
                 api->read(static_cast<int>(fd), 64 * 1024,
                           [api, fd, parser, step](int err,
                                                   bfs::Buffer data) {
@@ -743,7 +774,7 @@ utilCurl(Api api)
                     }
                     (*step)();
                 });
-            };
+            });
             (*step)();
         });
     });

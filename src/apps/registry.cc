@@ -22,6 +22,10 @@ ProgramRegistry::instance()
 void
 ProgramRegistry::add(ProgramSpec spec)
 {
+    {
+        std::lock_guard<std::mutex> lk(bundlesMu_);
+        bundles_.erase(spec.name); // its size may have changed
+    }
     specs_[spec.name] = std::move(spec);
 }
 
@@ -32,21 +36,26 @@ ProgramRegistry::find(const std::string &name) const
     return it == specs_.end() ? nullptr : &it->second;
 }
 
-bfs::Buffer
+bfs::BufferPtr
 ProgramRegistry::bundleFor(const std::string &name) const
 {
     const ProgramSpec *spec = find(name);
     if (!spec)
         jsvm::panic("ProgramRegistry: unknown program " + name);
+    std::lock_guard<std::mutex> lk(bundlesMu_);
+    bfs::BufferPtr &cached = bundles_[name];
+    if (cached)
+        return cached;
     std::string header = kMarker + name + "\n";
     // Pad to the bundle's size: worker creation charges a parse cost per
     // byte, so a 8 MB browser-node bundle really costs startup time. The
     // payload line repeats from the header on, cut short at the end.
     static const std::string kPad = "// bundle payload\n";
-    bfs::Buffer out(std::max(header.size(), spec->bundleKb * 1024));
-    std::memcpy(out.data(), header.data(), header.size());
-    uint8_t *payload = out.data() + header.size();
-    size_t total = out.size() - header.size();
+    auto out = std::make_shared<bfs::Buffer>(
+        std::max(header.size(), spec->bundleKb * 1024));
+    std::memcpy(out->data(), header.data(), header.size());
+    uint8_t *payload = out->data() + header.size();
+    size_t total = out->size() - header.size();
     size_t filled = std::min(kPad.size(), total);
     std::memcpy(payload, kPad.data(), filled);
     // Double the filled run: it is whole payload lines, so each copy
@@ -56,7 +65,8 @@ ProgramRegistry::bundleFor(const std::string &name) const
         std::memcpy(payload + filled, payload, n);
         filled += n;
     }
-    return out;
+    cached = std::move(out);
+    return cached;
 }
 
 std::string

@@ -10,14 +10,16 @@
  * parse/JIT cost — and the worker bootstrap maps the name back to the
  * program's entry point and runtime kind.
  *
- * A bundle's bytes are staged once, into the file; a spawn shares that
- * buffer with the blob and the worker (see bfs::BufferPtr), so the
- * padding costs boot memory but no per-spawn host copy.
+ * A bundle's bytes are built once per process and shared by every boot's
+ * file; a spawn shares that buffer with the blob and the worker (see
+ * bfs::BufferPtr), so the padding costs memory once, but no per-boot
+ * build and no per-spawn host copy.
  */
 #pragma once
 
 #include <cstddef>
 #include <map>
+#include <mutex>
 #include <string>
 
 #include "bfs/types.h"
@@ -53,14 +55,18 @@ class ProgramRegistry
     const ProgramSpec *find(const std::string &name) const;
 
     /** Executable file bytes for a registered program: the marker
-     * header, then "// bundle payload\n" repeated to bundleKb. */
-    bfs::Buffer bundleFor(const std::string &name) const;
+     * header, then "// bundle payload\n" repeated to bundleKb. Built on
+     * first use and shared after that: the registry keeps a reference,
+     * so an InMem file staged from it copies before it writes. */
+    bfs::BufferPtr bundleFor(const std::string &name) const;
 
     /** Extract the program name from bundle bytes ("" if not a bundle). */
     static std::string programFromBundle(const bfs::Buffer &bytes);
 
   private:
     std::map<std::string, ProgramSpec> specs_;
+    mutable std::mutex bundlesMu_; // boots may run on several threads
+    mutable std::map<std::string, bfs::BufferPtr> bundles_;
 };
 
 /** Register every built-in program (idempotent). */

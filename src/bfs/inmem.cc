@@ -424,6 +424,19 @@ InMemBackend::writeFile(const std::string &path, Buffer data)
 }
 
 int
+InMemBackend::writeFile(const std::string &path, BufferPtr bytes)
+{
+    int rc = writeFile(path, Buffer{});
+    // Writers go through ownData, which copies while anyone else holds
+    // the buffer: `bytes` are written in place only once the caller has
+    // let go of them, hence the non-const-Buffer requirement.
+    if (rc == 0)
+        lookup(path)->data =
+            std::const_pointer_cast<Buffer>(std::move(bytes));
+    return rc;
+}
+
+int
 InMemBackend::readFile(const std::string &path, Buffer &out) const
 {
     NodePtr n = lookup(path);

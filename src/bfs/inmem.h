@@ -48,6 +48,10 @@ class InMemBackend : public Backend
      * an rvalue). */
     int writeFile(const std::string &path, const std::string &data);
     int writeFile(const std::string &path, Buffer data);
+    /** Share `bytes` (a Buffer not itself created const) as the file's
+     * buffer, without a copy. While the caller keeps its reference, the
+     * file copies before it writes, so `bytes` never change. */
+    int writeFile(const std::string &path, BufferPtr bytes);
     /** Read a whole file. */
     int readFile(const std::string &path, Buffer &out) const;
 

@@ -63,34 +63,30 @@ OverlayBackend::eagerCopyTree(const std::string &path, ErrCb cb)
         // Copy entries sequentially (mirrors the original BrowserFS loop).
         auto entriesPtr =
             std::make_shared<std::vector<DirEntry>>(std::move(entries));
-        auto step = std::make_shared<std::function<void(size_t)>>();
-        *step = [this, path, cb, entriesPtr, step](size_t i) {
-            if (i >= entriesPtr->size()) {
-                cb(0);
-                return;
-            }
-            const DirEntry &e = (*entriesPtr)[i];
-            std::string child = joinPath(path, e.name);
-            auto next = [step, i](int err2) {
-                if (err2) {
-                    // Skip unreadable entries, keep walking.
+        auto step = jsvm::AsyncLoop<size_t>::make(
+            [this, path, cb, entriesPtr](const auto &step, size_t i) {
+                if (i >= entriesPtr->size()) {
+                    cb(0);
+                    return;
                 }
-                (*step)(i + 1);
-            };
-            if (e.type == FileType::Directory) {
-                upper_->mkdir(child, 0755, [this, child, next](int) {
-                    eagerCopyTree(child, next);
-                });
-            } else if (e.type == FileType::Regular) {
-                copyUp(child, [this, next](int err2) {
-                    if (!err2)
-                        eagerFiles_++;
-                    next(err2);
-                });
-            } else {
-                next(0);
-            }
-        };
+                const DirEntry &e = (*entriesPtr)[i];
+                std::string child = joinPath(path, e.name);
+                // An unreadable entry is skipped: keep walking.
+                auto next = [step, i](int) { (*step)(i + 1); };
+                if (e.type == FileType::Directory) {
+                    upper_->mkdir(child, 0755, [this, child, next](int) {
+                        eagerCopyTree(child, next);
+                    });
+                } else if (e.type == FileType::Regular) {
+                    copyUp(child, [this, next](int err2) {
+                        if (!err2)
+                            eagerFiles_++;
+                        next(err2);
+                    });
+                } else {
+                    next(0);
+                }
+            });
         (*step)(0);
     });
 }

@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace browsix {
@@ -51,6 +52,16 @@ using Buffer = std::vector<uint8_t>;
  * a blob and a worker without a host copy.
  */
 using BufferPtr = std::shared_ptr<const Buffer>;
+
+/** Append `more` to `acc`; into an empty `acc` it moves, not copies. */
+inline void
+append(Buffer &acc, Buffer &&more)
+{
+    if (acc.empty())
+        acc = std::move(more);
+    else
+        acc.insert(acc.end(), more.begin(), more.end());
+}
 
 /**
  * A caller-owned destination window for zero-copy reads (preadInto): the

@@ -18,8 +18,9 @@ makeBootstrapper()
     return [](jsvm::WorkerScope &scope,
               std::shared_ptr<const std::vector<uint8_t>> code) {
         auto client = std::make_shared<rt::SyscallClient>(scope);
-        // Anchor the client's lifetime to the worker.
-        scope.atExit([client]() {});
+        // Anchor the client's lifetime to the worker, and at its exit
+        // drop callbacks that hold the client (an init that never came).
+        scope.atExit([client]() { client->dropCallbacks(); });
 
         // Bytecode executable: full-fidelity Emterpreter.
         if (emvm::Image::isImage(code->data(), code->size())) {

@@ -47,9 +47,27 @@ Browser::createWorker(const std::string &url, Worker::Main main)
     {
         std::lock_guard<std::mutex> lk(mutex_);
         workers_.push_back(w);
+        // Drop the dead entries once the list has doubled since the last
+        // prune: amortised O(1) per spawn, and short-lived workers leave
+        // no entry (and control block) behind.
+        if (workers_.size() >= pruneAt_) {
+            workers_.erase(std::remove_if(workers_.begin(), workers_.end(),
+                                          [](const std::weak_ptr<Worker> &e) {
+                                              return e.expired();
+                                          }),
+                           workers_.end());
+            pruneAt_ = std::max<size_t>(16, 2 * workers_.size());
+        }
     }
     w->start();
     return w;
+}
+
+size_t
+Browser::trackedWorkers() const
+{
+    std::lock_guard<std::mutex> lk(mutex_);
+    return workers_.size();
 }
 
 bool

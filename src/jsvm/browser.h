@@ -62,6 +62,9 @@ class Browser
     /** Terminate all live workers (page unload). */
     void terminateAll();
 
+    /** Entries in the worker list, expired ones included until pruned. */
+    size_t trackedWorkers() const;
+
   private:
     CostModel costs_;
     EventLoop mainLoop_;
@@ -69,9 +72,10 @@ class Browser
 
     std::shared_ptr<Scheduler> pool_; // shared with every Worker
 
-    std::mutex mutex_;
+    mutable std::mutex mutex_;
     uint64_t nextWorkerId_ = 1;
     std::vector<std::weak_ptr<Worker>> workers_;
+    size_t pruneAt_ = 16; // workers_ size that triggers the next prune
 };
 
 } // namespace jsvm

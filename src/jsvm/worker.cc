@@ -351,8 +351,13 @@ Worker::postMessage(const Value &v)
         return;
     browser_.costs().chargeMessage(v.approxByteSize());
     Value copy = v.clone();
-    auto self = shared_from_this();
-    loop_.post([self, copy = std::move(copy)]() {
+    // Weak: the task sits in this worker's own loop, so a strong capture
+    // would be a cycle that a message still queued at terminate leaks.
+    std::weak_ptr<Worker> wself = weak_from_this();
+    loop_.post([wself, copy = std::move(copy)]() {
+        auto self = wself.lock();
+        if (!self)
+            return;
         std::function<void(Value)> h;
         {
             std::lock_guard<std::mutex> lk(self->mutex_);

@@ -639,20 +639,20 @@ Kernel::connect(int port, std::function<void(const bfs::Buffer &)> on_data,
     conn->close = [client]() { client->unref(); };
 
     // Pump received bytes to the host callback.
-    auto pump = std::make_shared<std::function<void()>>();
-    *pump = [client, on_data, on_close, pump]() {
-        client->read(64 * 1024, [client, on_data, on_close,
-                                 pump](int err, bfs::BufferPtr data) {
-            if (err || !data || data->empty()) {
-                if (on_close)
-                    on_close();
-                return;
-            }
-            if (on_data)
-                on_data(*data);
-            (*pump)();
+    auto pump = jsvm::AsyncLoop<>::make(
+        [client, on_data, on_close](const auto &pump) {
+            client->read(64 * 1024, [on_data, on_close,
+                                     pump](int err, bfs::BufferPtr data) {
+                if (err || !data || data->empty()) {
+                    if (on_close)
+                        on_close();
+                    return;
+                }
+                if (on_data)
+                    on_data(*data);
+                (*pump)();
+            });
         });
-    };
     (*pump)();
     cb(0, conn);
 }

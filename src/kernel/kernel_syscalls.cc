@@ -1153,7 +1153,9 @@ sysAccept(Kernel &k, Task &t, SyscallCtxPtr ctx)
         return;
     }
     int pid = t.pid;
-    sock->accept([&k, pid, ctx, file](int err, SocketFilePtr peer) {
+    // The waiter is stored in the listener and runs only from its methods,
+    // so it must not own the listener: a cycle no unfinished accept frees.
+    sock->accept([&k, pid, ctx](int err, SocketFilePtr peer) {
         if (err) {
             ctx->completeErr(err);
             return;
@@ -1311,19 +1313,20 @@ sysPoll(Kernel &k, Task &t, SyscallCtxPtr ctx)
         return;
 
     // Park: one-shot watchers on every waitable descriptor, sharing one
-    // wake that re-evaluates the set. registerAll is self-referential
-    // (the jsvm closure-pump idiom) so a spurious wake can re-arm.
-    auto registerAll = std::make_shared<std::function<void()>>();
-    auto wake = [ctx, attempt, registerAll]() {
-        if (ctx->completed())
-            return;
-        if (!attempt())
-            (*registerAll)();
-    };
-    *registerAll = [&k, pid, recs, nfds, wake]() {
+    // wake that re-evaluates the set and, on a spurious wake, re-arms.
+    // Each turn builds its wake holding the loop strongly; the loop does
+    // not hold the wake, so no cycle outlives the watchers.
+    auto registerAll = jsvm::AsyncLoop<>::make([&k, pid, ctx, attempt, recs,
+                                                nfds](const auto &self) {
         Task *t2 = k.task(pid);
         if (!t2 || t2->state == TaskState::Zombie)
             return;
+        auto wake = [ctx, attempt, self]() {
+            if (ctx->completed())
+                return;
+            if (!attempt())
+                (*self)();
+        };
         for (int32_t i = 0; i < nfds; i++) {
             sys::PollFd p;
             std::memcpy(&p, recs.span.data + i * sys::POLLFD_BYTES,
@@ -1346,7 +1349,7 @@ sysPoll(Kernel &k, Task &t, SyscallCtxPtr ctx)
                     sock->watchReadable(wake);
             }
         }
-    };
+    });
     (*registerAll)();
 }
 
@@ -1452,17 +1455,18 @@ sysEpollWait(Kernel &k, Task &t, SyscallCtxPtr ctx)
         return;
 
     k.statsMut().epollWaitsParked++;
-    auto registerAll = std::make_shared<std::function<void()>>();
-    auto wake = [ctx, attempt, registerAll]() {
-        if (ctx->completed())
-            return;
-        if (!attempt())
-            (*registerAll)();
-    };
-    *registerAll = [&k, pid, ep, wake]() {
+    // Same cycle-free re-arming shape as sysPoll's.
+    auto registerAll = jsvm::AsyncLoop<>::make([&k, pid, ctx, attempt,
+                                                ep](const auto &self) {
         Task *t2 = k.task(pid);
         if (!t2 || t2->state == TaskState::Zombie)
             return;
+        auto wake = [ctx, attempt, self]() {
+            if (ctx->completed())
+                return;
+            if (!attempt())
+                (*self)();
+        };
         for (const auto &[fd, mask] : ep->interest()) {
             KFilePtr f = getFile(*t2, fd);
             if (!f)
@@ -1481,7 +1485,7 @@ sysEpollWait(Kernel &k, Task &t, SyscallCtxPtr ctx)
                     sock->watchReadable(wake);
             }
         }
-    };
+    });
     (*registerAll)();
 }
 

@@ -77,8 +77,8 @@ NodeBrowsixApi::readFile(const std::string &path, DataCb cb)
             return;
         }
         auto acc = std::make_shared<bfs::Buffer>();
-        auto step = std::make_shared<std::function<void()>>();
-        *step = [self, fd, acc, step, cb]() {
+        auto step = jsvm::AsyncLoop<>::make([self, fd, acc,
+                                             cb](const auto &step) {
             self->read(static_cast<int>(fd), 64 * 1024,
                        [self, fd, acc, step, cb](int err, bfs::Buffer data) {
                            if (err) {
@@ -91,10 +91,10 @@ NodeBrowsixApi::readFile(const std::string &path, DataCb cb)
                                cb(0, std::move(*acc));
                                return;
                            }
-                           acc->insert(acc->end(), data.begin(), data.end());
+                           bfs::append(*acc, std::move(data));
                            (*step)();
                        });
-        };
+        });
         (*step)();
     });
 }
@@ -286,8 +286,7 @@ void
 NodeBrowsixApi::write(int fd, bfs::Buffer data, IntCb cb)
 {
     client_->call("write",
-                  {jsvm::Value(fd),
-                   jsvm::Value::bytes(data.data(), data.size())},
+                  {jsvm::Value(fd), jsvm::Value::bytes(std::move(data))},
                   [cb](int64_t r0, int64_t, jsvm::Value) {
                       if (cb)
                           cb(r0);
@@ -306,8 +305,10 @@ NodeBrowsixApi::close(int fd, VoidCb cb)
 void
 NodeBrowsixApi::fdWrite(int fd, const std::string &s, VoidCb cb)
 {
-    write(fd,
-          bfs::Buffer(s.begin(), s.end()),
+    // From a byte range: built from char iterators, the vector would
+    // convert element by element instead of copying in one memcpy.
+    const auto *p = reinterpret_cast<const uint8_t *>(s.data());
+    write(fd, bfs::Buffer(p, p + s.size()),
           [cb = errAdapter(cb)](int64_t r) {
               cb(r < 0 ? static_cast<int>(-r) : 0);
           });

@@ -83,6 +83,14 @@ SyscallClient::onSignal(std::function<void(int)> cb)
 }
 
 void
+SyscallClient::dropCallbacks()
+{
+    initCb_ = nullptr;
+    signalCb_ = nullptr;
+    outstanding_.clear();
+}
+
+void
 SyscallClient::call(const std::string &name, jsvm::Value::Array args,
                     RetCb cb)
 {

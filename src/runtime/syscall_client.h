@@ -66,6 +66,10 @@ class SyscallClient
     /** Register the signal handler dispatcher. */
     void onSignal(std::function<void(int sig)> cb);
 
+    /** Drop the init, signal and reply callbacks: the worker is gone, so
+     * none will run, and each may hold this client (a cycle). */
+    void dropCallbacks();
+
     /** Issue an async syscall; must run on the worker loop thread. */
     void call(const std::string &name, jsvm::Value::Array args, RetCb cb);
 

@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <mutex>
+
 #include "apps/coreutils/coreutils.h"
 #include "apps/coreutils/sha1.h"
 #include "apps/make/make.h"
@@ -19,6 +21,7 @@
 #include "bfs/overlay.h"
 #include "core/browsix.h"
 #include "jsvm/util.h"
+#include "runtime/node/node_runtime.h"
 
 using namespace browsix;
 using namespace browsix::apps;
@@ -429,8 +432,8 @@ TEST(Registry, BundleRoundtripAndPadding)
     registerAllPrograms();
     auto &reg = ProgramRegistry::instance();
     auto bundle = reg.bundleFor("dash");
-    EXPECT_EQ(ProgramRegistry::programFromBundle(bundle), "dash");
-    EXPECT_GE(bundle.size(), 1200u * 1024u)
+    EXPECT_EQ(ProgramRegistry::programFromBundle(*bundle), "dash");
+    EXPECT_GE(bundle->size(), 1200u * 1024u)
         << "bundles must carry their compiled-JS size for parse costs";
     EXPECT_EQ(ProgramRegistry::programFromBundle({1, 2, 3}), "");
 }
@@ -444,7 +447,7 @@ TEST(Registry, BundleIsHeaderThenRepeatingPayloadToItsSize)
         SCOPED_TRACE(name);
         const std::string header =
             std::string("//:browsix-program:") + name + "\n";
-        bfs::Buffer bundle = reg.bundleFor(name);
+        const bfs::Buffer &bundle = *reg.bundleFor(name); // registry-held
         ASSERT_EQ(bundle.size(), reg.find(name)->bundleKb * 1024);
         ASSERT_EQ(std::string(bundle.begin(), bundle.begin() + header.size()),
                   header);
@@ -453,6 +456,23 @@ TEST(Registry, BundleIsHeaderThenRepeatingPayloadToItsSize)
             bad += bundle[i] != static_cast<uint8_t>(
                                     pad[(i - header.size()) % pad.size()]);
         EXPECT_EQ(bad, 0u);
+    }
+}
+
+TEST(Registry, EveryBootStagesTheOneSharedBundle)
+{
+    // A bundle is built once per process: every system's /usr/bin/node
+    // is the registry's buffer, so a boot neither builds nor copies the
+    // padding.
+    Browsix a, b;
+    bfs::BufferPtr bundle = ProgramRegistry::instance().bundleFor("node");
+    for (Browsix *bx : {&a, &b}) {
+        bfs::BufferPtr file;
+        bx->fs().readFile("/usr/bin/node", [&](int err, bfs::BufferPtr d) {
+            EXPECT_EQ(err, 0);
+            file = d;
+        });
+        EXPECT_EQ(file.get(), bundle.get());
     }
 }
 
@@ -488,6 +508,94 @@ TEST(NativeUtils, LsMatchesBrowsixLs)
     EXPECT_EQ(nativeLs(bx.fs(), "/data", false), "a\nb\nd\n");
     auto r = bx.run("ls /data");
     EXPECT_EQ(r.out, "a\nb\nd\n");
+}
+
+// ---------- browser-node processes leave nothing behind ----------
+
+namespace {
+
+/**
+ * Probe utilities: `probe-<util>` records a weak_ptr to the NodeApi it is
+ * handed, then runs the real <util>. Once the probe's process has exited,
+ * nothing may still own that NodeApi — a closure that holds itself (and
+ * through its captures the api) would keep it alive for good.
+ */
+struct NodeApiProbes
+{
+    std::mutex mu; // node utilities start on pool threads
+    std::vector<std::weak_ptr<rt::NodeApi>> apis;
+
+    size_t
+    count()
+    {
+        std::lock_guard<std::mutex> lk(mu);
+        return apis.size();
+    }
+
+    size_t
+    live()
+    {
+        std::lock_guard<std::mutex> lk(mu);
+        size_t n = 0;
+        for (const auto &w : apis)
+            n += w.expired() ? 0 : 1;
+        return n;
+    }
+};
+
+NodeApiProbes &
+probes()
+{
+    static NodeApiProbes p;
+    return p;
+}
+
+void
+stageProbes(Browsix &bx)
+{
+    for (std::string util :
+         {"cat", "grep", "sort", "head", "wc", "ls", "tee", "rm"}) {
+        rt::NodeUtilFn real = rt::lookupNodeUtil(util);
+        ASSERT_NE(real, nullptr) << util;
+        rt::registerNodeUtil(
+            "probe-" + util, [real](std::shared_ptr<rt::NodeApi> api) {
+                {
+                    std::lock_guard<std::mutex> lk(probes().mu);
+                    probes().apis.push_back(api);
+                }
+                real(std::move(api));
+            });
+        bx.rootFs().writeFile("/usr/bin/probe-" + util,
+                              "#!/usr/bin/node\n//:node-util:probe-" + util +
+                                  "\n");
+    }
+}
+
+} // namespace
+
+TEST(NodeUtils, ExitedProcessesFreeTheirNodeApi)
+{
+    Browsix bx;
+    {
+        std::lock_guard<std::mutex> lk(probes().mu);
+        probes().apis.clear();
+    }
+    stageProbes(bx);
+    bx.rootFs().writeFile("/data/lines.txt",
+                          std::string("banana\napple\ncherry\nmango\n"));
+    auto r = bx.run("probe-cat /data/lines.txt | probe-grep an | "
+                    "probe-sort | probe-head -n 2 | probe-wc");
+    EXPECT_EQ(r.exitCode(), 0) << r.err;
+    EXPECT_EQ(r.out, "2 2 13\n");
+    r = bx.run("echo t | probe-tee /tmp/t1 && probe-ls -l /usr/bin && "
+               "probe-rm /tmp/t1");
+    EXPECT_EQ(r.exitCode(), 0) << r.err;
+    EXPECT_EQ(r.out.rfind("t\n", 0), 0u) << r.out;
+    EXPECT_NE(r.out.find(" probe-rm\n"), std::string::npos) << r.out;
+    ASSERT_EQ(probes().count(), 8u);
+    EXPECT_TRUE(bx.runUntil([]() { return probes().live() == 0; }, 5000))
+        << probes().live() << " of 8 exited processes still own their "
+        << "NodeApi: a closure cycle leaks them";
 }
 
 // ---------- els (ring-batched ls) ----------

@@ -325,6 +325,22 @@ TEST(InMem, EveryMutatorCopiesASharedBufferFirst)
     }
 }
 
+TEST(InMem, SharedWriteFileCopiesBeforeItsFirstWrite)
+{
+    // writeFile(path, BufferPtr) installs the caller's buffer itself (boot
+    // stages every executable bundle this way); the file's first write
+    // copies it, so the caller's bytes never change.
+    InMemBackend fs;
+    auto shared = std::make_shared<Buffer>(Buffer{'a', 'b', 'c'});
+    ASSERT_EQ(fs.writeFile("/f", BufferPtr(shared)), 0);
+    OpenFilePtr f = openRw(fs, "/f");
+    EXPECT_EQ(preadOf(*f, 0, 4096).get(), shared.get());
+    const uint8_t x = 'X';
+    f->pwrite(0, &x, 1, [](int, size_t) {});
+    EXPECT_EQ(str(*shared), "abc");
+    EXPECT_EQ(str(*preadOf(*f, 0, 4096)), "Xbc");
+}
+
 TEST(InMem, UnsharedWritesStayInPlace)
 {
     // Copy-on-write copies only while someone holds the buffer.

@@ -612,6 +612,72 @@ TEST(Browser, MainLoopTimerEndsTheWait)
     EXPECT_LT(us, 1000000);
 }
 
+TEST(Browser, WorkerListStaysBoundedOverShortLivedWorkers)
+{
+    // Each spawn records a weak_ptr to its worker; expired entries are
+    // dropped as the list grows, so a long run of short-lived workers
+    // does not leave one dead entry (and control block) per spawn.
+    Browser browser;
+    std::string url = browser.blobs().createObjectUrl(blobBytes({'x'}));
+    size_t most = 0;
+    for (int i = 0; i < 1000; i++) {
+        std::weak_ptr<Worker> gone;
+        {
+            auto w = browser.createWorker(url, [](WorkerScope &, auto) {});
+            w->terminate();
+            gone = w;
+        }
+        ASSERT_TRUE(browser.runUntil([&]() { return gone.expired(); }, 5000))
+            << "worker " << i << " was never freed";
+        most = std::max(most, browser.trackedWorkers());
+    }
+    EXPECT_LE(most, 32u);
+}
+
+// ---------- AsyncLoop ----------
+
+TEST(AsyncLoop, PendingTurnKeepsItAliveAndTheLastTurnFreesIt)
+{
+    // A hand-driven async source: each turn parks its continuation here.
+    std::vector<std::function<void()>> pending;
+    std::vector<int> seen;
+    auto capture = std::make_shared<int>(0); // stands in for the captures
+    std::weak_ptr<int> watch = capture;
+    {
+        auto loop = AsyncLoop<int>::make(
+            [capture, &pending, &seen](const auto &self, int i) {
+                seen.push_back(i);
+                if (i < 3)
+                    pending.push_back([self, i]() { (*self)(i + 1); });
+            });
+        (*loop)(0);
+    }
+    capture.reset();
+    while (!pending.empty()) {
+        EXPECT_FALSE(watch.expired())
+            << "a pending turn must keep the loop and its captures alive";
+        auto next = std::move(pending.back());
+        pending.pop_back();
+        next();
+    }
+    EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_TRUE(watch.expired())
+        << "with no turn pending, nothing may own the loop";
+}
+
+TEST(AsyncLoop, LoopWithNoPendingTurnIsFreedAtOnce)
+{
+    auto state = std::make_shared<int>(0);
+    std::weak_ptr<int> watch = state;
+    auto loop = AsyncLoop<>::make([state](const auto &) { (*state)++; });
+    state.reset();
+    (*loop)();
+    (*loop)();
+    EXPECT_EQ(*watch.lock(), 2);
+    loop.reset();
+    EXPECT_TRUE(watch.expired());
+}
+
 // ---------- Cost model ----------
 
 TEST(CostModel, FastProfileChargesNothing)

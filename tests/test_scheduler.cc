@@ -18,6 +18,7 @@
 
 #include "apps/registry.h"
 #include "core/browsix.h"
+#include "jsvm/util.h"
 #include "tests/test_util.h"
 
 using namespace browsix;
@@ -236,13 +237,13 @@ TEST(Scheduler, TimerParkedWorkerRewakesThroughTheDedupedWakePath)
         // Rail 1: a self-re-arming 1ms loop timer, so nearly every step
         // parks the worker with a pending deadline (finishStep ->
         // scheduleTimer -> promoteDueTimersLocked, over and over).
-        auto rearm = std::make_shared<std::function<void()>>();
         jsvm::EventLoop *loop = &scope.loop();
-        *rearm = [rearm, loop, &timer_fired]() {
-            timer_fired++;
-            loop->setTimeout(*rearm, 1000);
-        };
-        loop->setTimeout(*rearm, 1000);
+        auto rearm = jsvm::AsyncLoop<>::make(
+            [loop, &timer_fired](const auto &self) {
+                timer_fired++;
+                loop->setTimeout([self]() { (*self)(); }, 1000);
+            });
+        loop->setTimeout([rearm]() { (*rearm)(); }, 1000);
         // Rail 2: a guest fiber parking in Atomics::wait each round; the
         // main-thread notify makes it runnable — and signals the worker —
         // right as a timer promotion may be in flight.

@@ -206,6 +206,28 @@ INSTANTIATE_TEST_SUITE_P(
         ShellCase{"grep_v", "grep -v an /data/lines.txt", "",
                   "apple\ncherry\n", 0},
         ShellCase{"grep_miss", "grep zzz /data/lines.txt", "", "", 1},
+        // grep's two matchers (literal substring search, std::regex)
+        // must select the same lines std::regex alone would.
+        ShellCase{"grep_literal_stdin", "grep err", "ok 1\nerr 2\nerror 3\n",
+                  "err 2\nerror 3\n", 0},
+        ShellCase{"grep_literal_dash_slash", "grep a-b/c",
+                  "x a-b/c y\na-b\nb/c\n", "x a-b/c y\n", 0},
+        ShellCase{"grep_re_anchor_start", "grep '^FOO='",
+                  "FOO=1\nXFOO=2\nFOO\nFOO=\n", "FOO=1\nFOO=\n", 0},
+        ShellCase{"grep_re_dot", "grep a.c", "abc\nac\na.c\nxaxcx\n",
+                  "abc\na.c\nxaxcx\n", 0},
+        ShellCase{"grep_re_alternation", "grep 'b|z'", "abc\nxyz\nmno\n",
+                  "abc\nxyz\n", 0},
+        ShellCase{"grep_re_anchor_end", "grep 'an$'", "pan\npanda\nan\n",
+                  "pan\nan\n", 0},
+        ShellCase{"grep_v_re", "grep -v '^a' /data/lines.txt", "",
+                  "banana\ncherry\n", 0},
+        ShellCase{"grep_empty_pattern", "grep ''", "a\n\nb\n", "a\n\nb\n",
+                  0},
+        ShellCase{"grep_no_final_newline", "grep an", "banana\nmango",
+                  "banana\nmango\n", 0},
+        ShellCase{"grep_v_no_final_newline", "grep -v an", "banana\nkiwi",
+                  "kiwi\n", 0},
         ShellCase{"stdin_pipe", "sort", "b\na\n", "a\nb\n", 0},
         ShellCase{"tail", "tail -n 2 /data/lines.txt", "",
                   "apple\ncherry\n", 0},
